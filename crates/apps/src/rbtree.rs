@@ -4,7 +4,7 @@
 //!
 //! The implementation is an index-based (arena) tree: nodes live in a
 //! `Vec` and children/parents are indices, which keeps the rebalancing
-//! logic safe without `unsafe` or `Rc<RefCell>` overhead. Insertion and
+//! logic free of raw pointers and `Rc<RefCell>` overhead. Insertion and
 //! deletion implement the classic CLRS fixup algorithms; the invariants
 //! (root black, no red-red edges, equal black heights) are checked by an
 //! internal validator used heavily in tests.

@@ -17,17 +17,12 @@
 //!   {1} × {1, 2, 4, 8} plus the dual-channel points {2} × {4, 8}, runs a
 //!   batch of independent `bbop_and`s on every bank through
 //!   [`AmbitMemory::execute_batch`], and writes `BENCH_batch.json`
-//!   (override: `AMBIT_BENCH_BATCH_SNAPSHOT`, schema v3) with measured
-//!   throughput against the analytic [`AmbitConfig`] envelope, the
-//!   bank-parallel speedup over serial issue, the OS-threaded wall-clock
-//!   ratio, and the persistent executor pool's reuse counters. The
-//!   recorded `config.threads` is the pool's actual worker target
-//!   (`AMBIT_POOL_THREADS` / host parallelism), not a constant.
+//!   (override: `AMBIT_BENCH_BATCH_SNAPSHOT`, schema v4) with measured
+//!   throughput against the analytic [`AmbitConfig`] envelope and the
+//!   bank-parallel speedup over serial issue, both in simulated time.
 //! * `bench_snapshot --validate-batch <path>` checks a batch snapshot:
-//!   measured throughput within 10 % of the analytic envelope, speedup at
-//!   least 0.8·C·B at every swept point, pool reuse evidence on
-//!   multi-core runners — and prints (rather than silently passing) every
-//!   sweep row whose wall-clock speedup fell below 1.0.
+//!   measured throughput within 10 % of the analytic envelope and speedup
+//!   at least 0.8·C·B at every swept point.
 //!
 //! A third mode benchmarks the functional data plane itself:
 //!
@@ -107,22 +102,6 @@ const BATCH_ENVELOPE_TOLERANCE: f64 = 0.10;
 /// Required bank-parallel speedup over serial issue, as a fraction of the
 /// ideal B×.
 const BATCH_SPEEDUP_FLOOR: f64 = 0.8;
-
-/// Required wall-clock speedup of the OS-threaded batch path over the
-/// single-threaded bank-parallel path at [`WALLCLOCK_FLOOR_BANKS`]+ banks.
-/// Only enforced when the snapshot records ≥ 2 available cores: on a
-/// single-core runner the threaded path cannot beat serial issue and the
-/// measurement only documents the overhead.
-const WALLCLOCK_SPEEDUP_FLOOR: f64 = 1.5;
-
-/// Bank count at which [`WALLCLOCK_SPEEDUP_FLOOR`] starts to apply; below
-/// this the functional work per wave is too small to amortize thread
-/// startup and the column is informational.
-const WALLCLOCK_FLOOR_BANKS: u64 = 8;
-
-/// Wall-clock samples per (policy, bank count); the snapshot keeps the
-/// fastest, which is the standard guard against scheduler noise.
-const WALLCLOCK_SAMPLES: usize = 3;
 
 /// Analytic Table 3 energy of one op over one row, from the paper's
 /// command-program structure (Figure 8) and the [`EnergyModel`]
@@ -302,23 +281,15 @@ struct BatchResult {
     makespan_ns_parallel: f64,
     makespan_ns_serial: f64,
     speedup: f64,
-    wallclock_speedup: f64,
     measured_gops: f64,
     analytic_gops: f64,
     envelope_error_frac: f64,
-    /// Executor-pool counters accumulated over this point's threaded runs.
-    pool: ambit_core::PoolStats,
 }
 
 /// Queues `per_bank` independent ANDs on each of `banks` banks, submitted
 /// round-robin so every bank's chain starts as early as the command bus
-/// allows; the whole batch is one dependency wave. Returns the builder and
-/// the destination handles for byte-identity readback.
-fn build_bank_sweep_batch(
-    mem: &mut AmbitMemory,
-    banks: usize,
-    per_bank: usize,
-) -> (BatchBuilder, Vec<ambit_core::BitVectorHandle>) {
+/// allows; the whole batch is one dependency wave.
+fn build_bank_sweep_batch(mem: &mut AmbitMemory, banks: usize, per_bank: usize) -> BatchBuilder {
     let bits = mem.row_bits();
     let mut operands = Vec::with_capacity(banks);
     for g in 0..banks {
@@ -335,23 +306,12 @@ fn build_bank_sweep_batch(
             batch.bitwise(BitwiseOp::And, *a, Some(*b), dsts[j]);
         }
     }
-    let all_dsts = operands
-        .iter()
-        .flat_map(|(_, _, dsts)| dsts.iter().copied())
-        .collect();
-    (batch, all_dsts)
+    batch
 }
 
 /// Measures one (channels, banks) point of the sweep: bank-parallel
-/// makespan, serial baseline on an identical fresh module, the analytic
-/// envelope at the same point, and the wall-clock speedup of the
-/// OS-threaded issue path over single-threaded bank-parallel issue (best
-/// of [`WALLCLOCK_SAMPLES`] each, asserted byte-identical first).
-///
-/// When the executor pool degrades the threaded policy to `BankParallel`
-/// (single-worker pool, e.g. a one-core runner), the two policies run the
-/// exact same code path — the wall-clock ratio is recorded as 1.0 by
-/// definition rather than as scheduler noise around it.
+/// makespan, serial baseline on an identical fresh module, and the analytic
+/// envelope at the same point.
 fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitConfig) -> BatchResult {
     let geometry = DramGeometry {
         channels,
@@ -359,64 +319,14 @@ fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitC
         ..DramGeometry::ddr3_module()
     };
     let total_banks = geometry.total_banks();
-    // One sample: fresh module, timed execute_batch, dst readback. Also
-    // reports the module's pool counters so threaded runs can accumulate
-    // reuse evidence into the snapshot.
     let run = |policy: IssuePolicy| {
         let mut mem = AmbitMemory::new(geometry, config.timing, config.mode);
-        let (batch, dsts) = build_bank_sweep_batch(&mut mem, total_banks, per_bank);
-        let t0 = std::time::Instant::now();
-        let receipt = mem
-            .execute_batch(&batch, policy)
-            .expect("bank sweep batch executes");
-        let wall_s = t0.elapsed().as_secs_f64();
-        let readback: Vec<Vec<bool>> = dsts
-            .iter()
-            .map(|d| mem.peek_bits(*d).expect("dst readable"))
-            .collect();
-        (receipt, readback, wall_s, mem.pool_stats())
+        let batch = build_bank_sweep_batch(&mut mem, total_banks, per_bank);
+        mem.execute_batch(&batch, policy)
+            .expect("bank sweep batch executes")
     };
-    fn absorb(pool: &mut ambit_core::PoolStats, s: ambit_core::PoolStats) {
-        pool.target_workers = s.target_workers;
-        pool.workers = pool.workers.max(s.workers);
-        pool.jobs_executed += s.jobs_executed;
-        pool.inline_jobs += s.inline_jobs;
-        pool.cold_spawns += s.cold_spawns;
-        pool.warm_dispatches += s.warm_dispatches;
-        pool.worker_panics += s.worker_panics;
-    }
-    let mut pool = ambit_core::PoolStats::default();
-    let (parallel, parallel_bits, wall0_parallel, _) = run(IssuePolicy::BankParallel);
-    let (serial, _, _, _) = run(IssuePolicy::Serial);
-    let (threaded, threaded_bits, wall0_threaded, stats0) =
-        run(IssuePolicy::BankParallelThreaded);
-    absorb(&mut pool, stats0);
-    // The threaded path must be indistinguishable from serial issue in
-    // everything but wall clock: receipts (timing, energy, per-op windows,
-    // busy attribution) and final memory bytes.
-    assert_eq!(
-        threaded, parallel,
-        "threaded batch receipt diverges from bank-parallel at C={channels} B={banks}"
-    );
-    assert_eq!(
-        threaded_bits, parallel_bits,
-        "threaded batch memory image diverges from bank-parallel at C={channels} B={banks}"
-    );
-
-    let wallclock_speedup = if pool.target_workers < 2 {
-        1.0
-    } else {
-        let wall_parallel = (1..WALLCLOCK_SAMPLES)
-            .map(|_| run(IssuePolicy::BankParallel).2)
-            .fold(wall0_parallel, f64::min);
-        let mut wall_threaded = wall0_threaded;
-        for _ in 1..WALLCLOCK_SAMPLES {
-            let (_, _, wall, stats) = run(IssuePolicy::BankParallelThreaded);
-            wall_threaded = wall_threaded.min(wall);
-            absorb(&mut pool, stats);
-        }
-        wall_parallel / wall_threaded
-    };
+    let parallel = run(IssuePolicy::BankParallel);
+    let serial = run(IssuePolicy::Serial);
 
     let ops = total_banks * per_bank;
     let makespan_s = parallel.makespan_ps() as f64 / 1e12;
@@ -435,69 +345,31 @@ fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitC
         makespan_ns_parallel: parallel.makespan_ps() as f64 / PS_PER_NS as f64,
         makespan_ns_serial: serial.makespan_ps() as f64 / PS_PER_NS as f64,
         speedup: serial.makespan_ps() as f64 / parallel.makespan_ps() as f64,
-        wallclock_speedup,
         measured_gops,
         analytic_gops,
         envelope_error_frac: (measured_gops - analytic_gops).abs() / analytic_gops,
-        pool,
     }
-}
-
-/// Worker threads the batch engine's executor pool will actually use —
-/// recorded in the snapshot so the validator knows whether the wall-clock
-/// floor is meaningful on the machine that produced it. Honors
-/// `AMBIT_POOL_THREADS` and the host's parallelism, exactly like the pool
-/// inside every [`AmbitMemory`].
-fn available_threads() -> usize {
-    AmbitMemory::new(
-        DramGeometry::tiny(),
-        TimingParams::ddr3_1600(),
-        AapMode::Overlapped,
-    )
-    .pool_stats()
-    .target_workers
 }
 
 fn render_batch_snapshot(results: &[BatchResult], config: &AmbitConfig, per_bank: usize) -> String {
-    let threads = available_threads();
-    let mut pool = ambit_core::PoolStats::default();
-    for r in results {
-        pool.target_workers = r.pool.target_workers;
-        pool.jobs_executed += r.pool.jobs_executed;
-        pool.inline_jobs += r.pool.inline_jobs;
-        pool.cold_spawns += r.pool.cold_spawns;
-        pool.warm_dispatches += r.pool.warm_dispatches;
-        pool.worker_panics += r.pool.worker_panics;
-    }
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ambit-bench-batch/v3\",\n");
+    out.push_str("  \"schema\": \"ambit-bench-batch/v4\",\n");
     out.push_str(&format!(
-        "  \"config\": {{\"timing\": \"ddr3_1600\", \"mode\": \"overlapped\", \"row_bytes\": {}, \"ops_per_bank\": {}, \"threads\": {}, \"quick\": {}}},\n",
+        "  \"config\": {{\"timing\": \"ddr3_1600\", \"mode\": \"overlapped\", \"row_bytes\": {}, \"ops_per_bank\": {}, \"quick\": {}}},\n",
         config.row_bytes,
         per_bank,
-        threads,
         quick_mode()
-    ));
-    out.push_str(&format!(
-        "  \"pool\": {{\"target_workers\": {}, \"jobs_executed\": {}, \"inline_jobs\": {}, \"cold_spawns\": {}, \"warm_dispatches\": {}, \"worker_panics\": {}}},\n",
-        pool.target_workers,
-        pool.jobs_executed,
-        pool.inline_jobs,
-        pool.cold_spawns,
-        pool.warm_dispatches,
-        pool.worker_panics
     ));
     out.push_str("  \"sweep\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"channels\": {}, \"banks\": {}, \"ops\": {}, \"makespan_ns_parallel\": {}, \"makespan_ns_serial\": {}, \"speedup\": {}, \"wallclock_speedup\": {}, \"measured_gops\": {}, \"analytic_gops\": {}, \"envelope_error_frac\": {}}}{}\n",
+            "    {{\"channels\": {}, \"banks\": {}, \"ops\": {}, \"makespan_ns_parallel\": {}, \"makespan_ns_serial\": {}, \"speedup\": {}, \"measured_gops\": {}, \"analytic_gops\": {}, \"envelope_error_frac\": {}}}{}\n",
             r.channels,
             r.banks,
             r.ops,
             json::number(r.makespan_ns_parallel),
             json::number(r.makespan_ns_serial),
             json::number(r.speedup),
-            json::number(r.wallclock_speedup),
             json::number(r.measured_gops),
             json::number(r.analytic_gops),
             json::number(r.envelope_error_frac),
@@ -510,55 +382,20 @@ fn render_batch_snapshot(results: &[BatchResult], config: &AmbitConfig, per_bank
 
 /// Validates a batch snapshot: schema marker, per-entry fields, measured
 /// throughput within [`BATCH_ENVELOPE_TOLERANCE`] of the analytic
-/// envelope, speedup ≥ [`BATCH_SPEEDUP_FLOOR`]·C·B at every sweep point,
-/// pool-reuse evidence on multi-core runners, and — when the recorded
-/// runner had ≥ 2 cores — wall-clock speedup ≥ [`WALLCLOCK_SPEEDUP_FLOOR`]
-/// at [`WALLCLOCK_FLOOR_BANKS`]+ total banks.
-///
-/// On success also returns warnings: one line per sweep row whose
-/// wall-clock speedup fell below 1.0 (the threaded path losing to
-/// single-threaded issue is worth surfacing even where the hard floor
-/// does not apply).
-fn validate_batch_snapshot(text: &str) -> Result<(usize, Vec<String>), Vec<String>> {
+/// envelope, and speedup ≥ [`BATCH_SPEEDUP_FLOOR`]·C·B at every sweep
+/// point.
+fn validate_batch_snapshot(text: &str) -> Result<usize, Vec<String>> {
     let mut errors = Vec::new();
-    let mut warnings = Vec::new();
     let doc = match Json::parse(text) {
         Ok(d) => d,
         Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
     };
-    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-batch/v3") {
+    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-batch/v4") {
         errors.push("missing or wrong \"schema\" marker".into());
     }
-    for key in ["row_bytes", "ops_per_bank", "threads"] {
+    for key in ["row_bytes", "ops_per_bank"] {
         if doc.get("config").and_then(|c| c.get(key)).and_then(Json::as_u64).is_none() {
             errors.push(format!("config.{key} missing or not an integer"));
-        }
-    }
-    let threads = doc
-        .get("config")
-        .and_then(|c| c.get("threads"))
-        .and_then(Json::as_u64)
-        .unwrap_or(1);
-    for key in ["target_workers", "jobs_executed", "cold_spawns", "warm_dispatches"] {
-        if doc.get("pool").and_then(|p| p.get(key)).and_then(Json::as_u64).is_none() {
-            errors.push(format!("pool.{key} missing or not an integer"));
-        }
-    }
-    let pool_field =
-        |key: &str| doc.get("pool").and_then(|p| p.get(key)).and_then(Json::as_u64).unwrap_or(0);
-    if threads >= 2 {
-        // A multi-worker pool must actually have run pool jobs, and the
-        // persistent workers must have served more dispatches than the
-        // cold spawns that created them — the reuse the pool exists for.
-        if pool_field("jobs_executed") == 0 {
-            errors.push("pool.jobs_executed is 0 on a multi-core runner".into());
-        }
-        if pool_field("warm_dispatches") < pool_field("cold_spawns") {
-            errors.push(format!(
-                "pool reuse missing: {} warm dispatches vs {} cold spawns",
-                pool_field("warm_dispatches"),
-                pool_field("cold_spawns")
-            ));
         }
     }
     let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
@@ -582,7 +419,6 @@ fn validate_batch_snapshot(text: &str) -> Result<(usize, Vec<String>), Vec<Strin
             "makespan_ns_parallel",
             "makespan_ns_serial",
             "speedup",
-            "wallclock_speedup",
             "measured_gops",
             "analytic_gops",
             "envelope_error_frac",
@@ -610,24 +446,9 @@ fn validate_batch_snapshot(text: &str) -> Result<(usize, Vec<String>), Vec<Strin
                 ));
             }
         }
-        if let Some(wallclock) = entry.get("wallclock_speedup").and_then(Json::as_f64) {
-            if threads >= 2
-                && total_banks >= WALLCLOCK_FLOOR_BANKS
-                && wallclock < WALLCLOCK_SPEEDUP_FLOOR
-            {
-                errors.push(format!(
-                    "sweep[{i}] (C={channels} B={banks}): wall-clock speedup {wallclock:.2}x below the {WALLCLOCK_SPEEDUP_FLOOR:.1}x floor on a {threads}-core runner"
-                ));
-            }
-            if wallclock < 1.0 {
-                warnings.push(format!(
-                    "sweep[{i}] (C={channels} B={banks}): threaded issue LOST to single-threaded bank-parallel wall-clock ({wallclock:.2}x)"
-                ));
-            }
-        }
     }
     if errors.is_empty() {
-        Ok((sweep.len(), warnings))
+        Ok(sweep.len())
     } else {
         Err(errors)
     }
@@ -982,20 +803,16 @@ fn batch_main() -> ExitCode {
         .map(|(channels, banks)| measure_batch(channels, banks, per_bank, &config))
         .collect();
 
-    println!(
-        "batch channel/bank-scaling sweep @ DDR3-1600, {per_bank} and-ops/bank, {} pool workers:",
-        available_threads()
-    );
+    println!("batch channel/bank-scaling sweep @ DDR3-1600, {per_bank} and-ops/bank:");
     for r in &results {
         println!(
-            "  C={} B={}: {:6} ops  makespan {:8.0} ns (serial {:9.0} ns)  speedup {:5.2}x  wallclock {:5.2}x  {:7.1} GOps/s measured vs {:7.1} analytic (err {:.2}%)",
+            "  C={} B={}: {:6} ops  makespan {:8.0} ns (serial {:9.0} ns)  speedup {:5.2}x  {:7.1} GOps/s measured vs {:7.1} analytic (err {:.2}%)",
             r.channels,
             r.banks,
             r.ops,
             r.makespan_ns_parallel,
             r.makespan_ns_serial,
             r.speedup,
-            r.wallclock_speedup,
             r.measured_gops,
             r.analytic_gops,
             r.envelope_error_frac * 100.0,
@@ -1003,18 +820,11 @@ fn batch_main() -> ExitCode {
     }
 
     let snapshot = render_batch_snapshot(&results, &config, per_bank);
-    match validate_batch_snapshot(&snapshot) {
-        Ok((_, warnings)) => {
-            for w in &warnings {
-                eprintln!("warning: {w}");
-            }
+    if let Err(errors) = validate_batch_snapshot(&snapshot) {
+        for e in &errors {
+            eprintln!("self-validation failed: {e}");
         }
-        Err(errors) => {
-            for e in &errors {
-                eprintln!("self-validation failed: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
+        return ExitCode::FAILURE;
     }
     let path = std::env::var("AMBIT_BENCH_BATCH_SNAPSHOT")
         .unwrap_or_else(|_| "BENCH_batch.json".to_string());
@@ -1023,7 +833,7 @@ fn batch_main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "wrote {path} (throughput within {:.0}% of the analytic envelope, speedup >= {:.1}*C*B, threaded path byte-identical)",
+        "wrote {path} (throughput within {:.0}% of the analytic envelope, speedup >= {:.1}*C*B)",
         BATCH_ENVELOPE_TOLERANCE * 100.0,
         BATCH_SPEEDUP_FLOOR
     );
@@ -1922,10 +1732,7 @@ fn main() -> ExitCode {
             }
         };
         return match validate_batch_snapshot(&text) {
-            Ok((n, warnings)) => {
-                for w in &warnings {
-                    eprintln!("{}: warning: {w}", args[2]);
-                }
+            Ok(n) => {
                 println!(
                     "{}: valid batch snapshot, {n} sweep points within tolerance",
                     args[2]

@@ -13,8 +13,8 @@
 //! slice with a random device characterization map (variation-aware
 //! placement, spare-row pre-remap, per-subarray fault campaign);
 //! `--multi-channel` places a slice of the fault-free programs on the
-//! two-channel geometry so the channel-sharded threaded batch path is
-//! fuzzed against the serial paths; `--synth` lets fault-free programs
+//! two-channel geometry so per-channel command-bus timing is fuzzed under
+//! the trace checker; `--synth` lets fault-free programs
 //! carry random synthesized truth-table ops, compiled through the
 //! `ambit-core::synth` pipeline on every execution path. The first
 //! divergence is minimized and written to `CONFORMANCE_repro.json` in the

@@ -1,8 +1,8 @@
 //! The N-way differential execution oracle.
 //!
 //! Runs one [`Program`] through every execution path the stack offers —
-//! eager driver calls, the batch engine under all three issue policies
-//! (serial, bank-parallel, and the OS-threaded wall-clock path), the
+//! eager driver calls, the batch engine under both issue policies
+//! (serial and bank-parallel), the
 //! device with its analog model replaced by the scalar reference, and (for
 //! all-bitwise programs) the resilient executor — and checks every path's
 //! final memory image byte-for-byte against the pure-CPU golden model.
@@ -40,11 +40,10 @@ use crate::program::{ProgOp, Program};
 use crate::trace_check::TraceChecker;
 
 /// Names of the fault-free execution paths, in oracle order.
-pub const FAULT_FREE_PATHS: [&str; 6] = [
+pub const FAULT_FREE_PATHS: [&str; 5] = [
     "eager",
     "batch_serial",
     "batch_bank_parallel",
-    "batch_threaded",
     "forced_scalar",
     "resilient",
 ];
@@ -166,11 +165,6 @@ fn build_memory(program: &Program, forced_scalar: bool) -> AmbitMemory {
             }
         }
     }
-    // Force a multi-worker pool so the batch_threaded path exercises the
-    // channel-sharded timing pass (and the pool's merge machinery) even on
-    // single-core CI hosts, where the default pool would degrade it to the
-    // serial BankParallel code path.
-    mem.set_pool_threads(4);
     mem.controller_mut().timer_mut().set_tracing(true);
     mem
 }
@@ -598,15 +592,10 @@ fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleRep
     let mut report = OracleReport::default();
     let golden = golden::run(program);
 
-    let driver_paths: [(&str, Issue, bool); 5] = [
+    let driver_paths: [(&str, Issue, bool); 4] = [
         ("eager", Issue::Eager, false),
         ("batch_serial", Issue::Batch(IssuePolicy::Serial), false),
         ("batch_bank_parallel", Issue::Batch(IssuePolicy::BankParallel), false),
-        (
-            "batch_threaded",
-            Issue::Batch(IssuePolicy::BankParallelThreaded),
-            false,
-        ),
         ("forced_scalar", Issue::Eager, true),
     ];
     for (path, issue, forced_scalar) in &driver_paths {

@@ -24,8 +24,7 @@ pub enum GeometryKind {
     Tiny,
     /// [`DramGeometry::tiny_dual_channel`]: the two-channel tiny variant.
     /// The smallest geometry with more than one command bus, so oracle runs
-    /// over it exercise per-channel timing lanes and the channel-sharded
-    /// threaded batch path.
+    /// over it exercise per-channel timing lanes.
     TinyDual,
     /// [`DramGeometry::micro17`]: the paper's full-size module.
     Micro17,

@@ -30,7 +30,7 @@ use crate::compiler::{compile_fold, fold_supported};
 use crate::controller::{AmbitController, OpReceipt};
 use crate::error::{AmbitError, Result};
 use crate::ops::{compile, compile_majority, AmbitCmd, BitwiseOp};
-use crate::pool::{ExecutorPool, PoolStats};
+use crate::pool::PoolStats;
 
 /// Opaque handle to an allocated Ambit bitvector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,13 +172,6 @@ pub struct AmbitMemory {
     /// readers of a shared `&AmbitMemory` never race.
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
-    /// Persistent worker pool for `BankParallelThreaded` batches: reused
-    /// across every batch this memory executes (both the channel-sharded
-    /// timing pass and the per-bank functional pass), replacing the
-    /// per-batch `thread::scope` spawns that made the threaded path lose
-    /// wall-clock to serial. Workers spawn lazily on first use; sized from
-    /// `available_parallelism` (override: `AMBIT_POOL_THREADS`).
-    pool: ExecutorPool,
 }
 
 /// Cached telemetry handles for the driver's per-operation view.
@@ -350,7 +343,6 @@ impl AmbitMemory {
             plan_cache: Mutex::new(HashMap::new()),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
-            pool: ExecutorPool::with_default_size(),
         }
     }
 
@@ -384,7 +376,6 @@ impl AmbitMemory {
     /// registry to the controller for per-command instrumentation.
     pub fn set_telemetry(&mut self, registry: Registry) {
         self.ctrl.set_telemetry(registry.clone());
-        self.pool.set_telemetry(&registry);
         let tel = DriverTelemetry::new(registry);
         if let Some(profile) = &self.profile {
             tel.arm_profile_gauges(profile);
@@ -409,24 +400,17 @@ impl AmbitMemory {
         self.ctrl.timer().energy().total_nj()
     }
 
-    /// Activity counters of the persistent executor pool backing
-    /// [`IssuePolicy::BankParallelThreaded`] batches: worker reuse vs cold
-    /// spawns is the wall-clock win the pool exists for.
+    /// Always [`PoolStats::default`]: batches issue on the calling thread.
+    /// Kept only so the frozen `perfbench` harness compiles; goes once a
+    /// later benchmark revision drops its `pool.*` probes.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        PoolStats::default()
     }
 
-    /// Replaces the executor pool with one bounded to `threads` workers
-    /// (the old pool's workers shut down gracefully; its counters reset).
-    /// With `threads == 1` the driver degrades
-    /// [`IssuePolicy::BankParallelThreaded`] to plain `BankParallel` — the
-    /// same degradation a one-core host gets automatically.
-    pub fn set_pool_threads(&mut self, threads: usize) {
-        self.pool = ExecutorPool::new(threads);
-        if let Some(tel) = &self.telemetry {
-            self.pool.set_telemetry(&tel.registry);
-        }
-    }
+    /// No-op: batches issue on the calling thread. Kept only so the frozen
+    /// `perfbench` harness compiles; goes once a later benchmark revision
+    /// drops its `pool.*` probes.
+    pub fn set_pool_threads(&mut self, _threads: usize) {}
 
     /// Current simulated time, picoseconds.
     pub fn now_ps(&self) -> u64 {
@@ -842,13 +826,7 @@ impl AmbitMemory {
         src2: Option<BitVectorHandle>,
         dst: BitVectorHandle,
     ) -> Result<OpReceipt> {
-        let entry = BatchOp::Bitwise { op, src1, src2, dst };
-        let chunks = self.plan_op(&entry)?;
-        let receipt = self.issue_chunks(&chunks)?;
-        if let Some(tel) = &mut self.telemetry {
-            tel.record_op(op.mnemonic(), &receipt, chunks.len());
-        }
-        Ok(receipt)
+        self.run_eager(&BatchOp::Bitwise { op, src1, src2, dst })
     }
 
     /// Executes `dst = majority(a, b, c)` bitwise across all chunks — the
@@ -866,13 +844,7 @@ impl AmbitMemory {
         c: BitVectorHandle,
         dst: BitVectorHandle,
     ) -> Result<OpReceipt> {
-        let entry = BatchOp::Maj3 { a, b, c, dst };
-        let chunks = self.plan_op(&entry)?;
-        let receipt = self.issue_chunks(&chunks)?;
-        if let Some(tel) = &mut self.telemetry {
-            tel.record_op("maj3", &receipt, chunks.len());
-        }
-        Ok(receipt)
+        self.run_eager(&BatchOp::Maj3 { a, b, c, dst })
     }
 
     /// Executes an optimized k-way accumulation `dst = srcs[0] op … op
@@ -892,18 +864,11 @@ impl AmbitMemory {
         srcs: &[BitVectorHandle],
         dst: BitVectorHandle,
     ) -> Result<OpReceipt> {
-        let entry = BatchOp::Fold {
+        self.run_eager(&BatchOp::Fold {
             op,
             srcs: srcs.to_vec(),
             dst,
-        };
-        let mnemonic = entry.mnemonic();
-        let chunks = self.plan_op(&entry)?;
-        let receipt = self.issue_chunks(&chunks)?;
-        if let Some(tel) = &mut self.telemetry {
-            tel.record_op(mnemonic, &receipt, chunks.len());
-        }
-        Ok(receipt)
+        })
     }
 
     /// Executes a [`BatchBuilder`]'s operations as one planned batch.
@@ -916,14 +881,13 @@ impl AmbitMemory {
     /// back-to-back, so ops placed in different banks overlap in simulated
     /// time on their per-bank pipelines; [`IssuePolicy::Serial`] advances
     /// the clock past each op before issuing the next (the baseline the
-    /// bank-parallel speedup is measured against);
-    /// [`IssuePolicy::BankParallelThreaded`] keeps `BankParallel`'s
-    /// simulated-time semantics but runs the functional work on one OS
-    /// thread per bank, so wall-clock time also scales with cores (it
-    /// falls back to `BankParallel` while transient TRA faults are armed,
-    /// keeping the pinned per-bit RNG streams). Results are bit-identical
-    /// across policies: ops within a wave touch disjoint destinations, so
-    /// functional order is immaterial.
+    /// bank-parallel speedup is measured against). Both policies run every
+    /// chunk program, timing and functional work together, on the calling
+    /// thread in one pass (wave, then op index, then chunk index); bank
+    /// parallelism lives in simulated time only.
+    /// [`IssuePolicy::BankParallelThreaded`] is an alias of `BankParallel`.
+    /// Results are bit-identical across policies: ops within a wave touch
+    /// disjoint destinations, so functional order is immaterial.
     ///
     /// # Errors
     ///
@@ -979,82 +943,16 @@ impl AmbitMemory {
             .map(|b| self.ctrl.timer().bank_busy_ps(b))
             .collect();
 
-        // The threaded policy splits execution in two: a timing pass
-        // (serial, or channel-sharded when a wave spans multiple channels)
-        // issuing exactly the command sequence the plain bank-parallel path
-        // issues, then a parallel functional pass over per-bank queues.
-        // Two degradations keep it byte-identical and never slower:
-        // fault-armed devices fall back to the single-phase path so charge
-        // shares consume each subarray's pinned per-bit RNG stream through
-        // the one code path it was pinned against (see
-        // `IssuePolicy::BankParallelThreaded`), and a single-worker pool
-        // (one-core host, or `AMBIT_POOL_THREADS=1`) degrades to plain
-        // `BankParallel` — with no second core there is only spawn overhead
-        // to pay.
-        let threaded = policy == IssuePolicy::BankParallelThreaded
-            && self.pool.target_workers() >= 2
-            && !self.ctrl.device().tra_fault_armed();
-
         let mut per_op: Vec<Option<OpReceipt>> = vec![None; batch.len()];
         for wave in &waves {
             let mut wave_end = 0u64;
-            // A fully-elided plan's noop receipt reads `now_ps` at its
-            // mid-wave position in the serial loop; waves containing one
-            // keep the serial path so that timestamp stays byte-identical.
-            let wave_has_noop = wave.iter().any(|&i| plans[i].is_empty());
-            if threaded && traffic.is_none() && !wave_has_noop {
-                // Sharded timing: every chunk of the wave in serial issue
-                // order (op index, then chunk index), timed one shard per
-                // channel and merged back deterministically. Receipts come
-                // back in the same serial order, so absorbing them here is
-                // indistinguishable from the serial loop below.
-                let mut chunk_ops: Vec<usize> = Vec::new();
-                let mut chunks: Vec<(BankId, usize, &[AmbitCmd])> = Vec::new();
-                for &i in wave {
-                    for chunk in &plans[i] {
-                        chunk_ops.push(i);
-                        chunks.push((chunk.bank, chunk.subarray, chunk.program.as_slice()));
-                    }
+            for &i in wave {
+                let receipt = self.issue_op(&plans[i], traffic.as_deref_mut())?;
+                if policy == IssuePolicy::Serial {
+                    self.ctrl.timer_mut().advance_to(receipt.end_ps);
                 }
-                let receipts = self.ctrl.time_chunks_sharded(&chunks, &self.pool)?;
-                for (&i, receipt) in chunk_ops.iter().zip(&receipts) {
-                    match &mut per_op[i] {
-                        Some(t) => t.absorb(receipt),
-                        None => per_op[i] = Some(*receipt),
-                    }
-                }
-                for &i in wave {
-                    let receipt = per_op[i].expect("every wave op has chunks here");
-                    wave_end = wave_end.max(receipt.end_ps);
-                }
-            } else {
-                for &i in wave {
-                    let mut op_total: Option<OpReceipt> = None;
-                    for chunk in &plans[i] {
-                        if let Some(tr) = traffic.as_deref_mut() {
-                            tr.service_arrived(self.ctrl.timer_mut())?;
-                        }
-                        // Traffic (or prior external use) may have left a row
-                        // open; AAP programs must start precharged.
-                        self.ctrl.close_open_row(chunk.bank, chunk.subarray)?;
-                        let receipt = if threaded {
-                            self.ctrl.time_program(chunk.bank, chunk.subarray, &chunk.program)?
-                        } else {
-                            self.ctrl.run_program(chunk.bank, chunk.subarray, &chunk.program)?
-                        };
-                        match &mut op_total {
-                            Some(t) => t.absorb(&receipt),
-                            None => op_total = Some(receipt),
-                        }
-                    }
-                    // A fully-elided plan (self-copy) issues nothing.
-                    let receipt = op_total.unwrap_or_else(|| self.noop_receipt());
-                    if policy == IssuePolicy::Serial {
-                        self.ctrl.timer_mut().advance_to(receipt.end_ps);
-                    }
-                    wave_end = wave_end.max(receipt.end_ps);
-                    per_op[i] = Some(receipt);
-                }
+                wave_end = wave_end.max(receipt.end_ps);
+                per_op[i] = Some(receipt);
             }
             // Wave barrier: dependent ops start only after every producer's
             // final precharge has completed.
@@ -1064,27 +962,6 @@ impl AmbitMemory {
         }
         if let Some(tr) = traffic {
             tr.service_arrived(self.ctrl.timer_mut())?;
-        }
-
-        if threaded {
-            // Functional pass: queue every chunk program on its bank in the
-            // order the serial path would have run it (wave, then op index,
-            // then chunk index), and fan the queues out one pool job per
-            // bank. Co-location guarantees every program only touches its
-            // own (bank, subarray), so per-bank FIFO order is the only
-            // ordering the device can observe.
-            let geometry = *self.ctrl.geometry();
-            let mut queues: Vec<Vec<(usize, &[AmbitCmd])>> =
-                vec![Vec::new(); geometry.total_banks()];
-            for wave in &waves {
-                for &i in wave {
-                    for chunk in &plans[i] {
-                        queues[chunk.bank.flat_index(&geometry)]
-                            .push((chunk.subarray, chunk.program.as_slice()));
-                    }
-                }
-            }
-            self.ctrl.run_bank_queues(&queues, &self.pool)?;
         }
 
         let per_op: Vec<OpReceipt> = per_op
@@ -1309,12 +1186,35 @@ impl AmbitMemory {
         }
     }
 
-    /// Issues an op's chunk programs in order. Chunks live in different
-    /// banks (the allocator stripes them), so their pipelines overlap on
-    /// the shared timeline.
-    fn issue_chunks(&mut self, chunks: &[ChunkProgram]) -> Result<OpReceipt> {
+    /// Plans, issues and records one eager operation — the body shared by
+    /// [`bitwise`](Self::bitwise), [`bitwise_maj3`](Self::bitwise_maj3) and
+    /// [`bitwise_fold`](Self::bitwise_fold).
+    fn run_eager(&mut self, entry: &BatchOp) -> Result<OpReceipt> {
+        let chunks = self.plan_op(entry)?;
+        let receipt = self.issue_op(&chunks, None)?;
+        if let Some(tel) = &mut self.telemetry {
+            tel.record_op(entry.mnemonic(), &receipt, chunks.len());
+        }
+        Ok(receipt)
+    }
+
+    /// Issues one op's chunk programs in order and merges their receipts.
+    /// Chunks live in different banks (the allocator stripes them), so
+    /// their pipelines overlap on the shared timeline. Before each chunk,
+    /// `traffic` requests that have already arrived are serviced, and any
+    /// row left open on the chunk's pipeline is precharged: AAP programs
+    /// must start from the precharged state.
+    fn issue_op(
+        &mut self,
+        chunks: &[ChunkProgram],
+        mut traffic: Option<&mut FrFcfsScheduler>,
+    ) -> Result<OpReceipt> {
         let mut total: Option<OpReceipt> = None;
         for chunk in chunks {
+            if let Some(tr) = traffic.as_deref_mut() {
+                tr.service_arrived(self.ctrl.timer_mut())?;
+            }
+            self.ctrl.close_open_row(chunk.bank, chunk.subarray)?;
             let receipt = self.ctrl.run_program(chunk.bank, chunk.subarray, &chunk.program)?;
             match &mut total {
                 Some(t) => t.absorb(&receipt),

@@ -104,14 +104,6 @@ pub enum AmbitError {
         /// What was wrong with the profile.
         reason: &'static str,
     },
-    /// A job running on the persistent [`ExecutorPool`](crate::ExecutorPool)
-    /// panicked. The panic was caught on the worker thread (the pool stays
-    /// usable) and its payload is carried here instead of aborting the
-    /// process.
-    ExecutorPanicked {
-        /// The panic payload, stringified.
-        message: String,
-    },
     /// The boolean microprogram synthesizer rejected its input or produced
     /// a program violating a caller-imposed budget (see
     /// [`synth`](crate::synth)).
@@ -178,9 +170,6 @@ impl fmt::Display for AmbitError {
             AmbitError::ProfileRejected { reason } => {
                 write!(f, "placement profile rejected: {reason}")
             }
-            AmbitError::ExecutorPanicked { message } => {
-                write!(f, "executor pool job panicked: {message}")
-            }
             AmbitError::Synthesis { detail } => {
                 write!(f, "boolean synthesis failed: {detail}")
             }
@@ -228,7 +217,6 @@ mod tests {
             AmbitError::DependencyCycle { op: 4 },
             AmbitError::UnknownOp { id: 7 },
             AmbitError::ProfileRejected { reason: "wrong shape" },
-            AmbitError::ExecutorPanicked { message: "boom".into() },
             AmbitError::Synthesis { detail: "no functions".into() },
         ];
         for e in errors {

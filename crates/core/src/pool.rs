@@ -1,596 +1,69 @@
-//! Persistent executor pool for the threaded batch path.
+//! Compatibility stub for the retired OS-threaded batch executor.
 //!
-//! `IssuePolicy::BankParallelThreaded` originally spawned one OS thread per
-//! bank per batch via `std::thread::scope`; at simulator batch sizes the
-//! spawn/join cost alone swamped the parallel work and the threaded path
-//! lost wall-clock to serial execution (BENCH_batch.json schema v2 recorded
-//! 0.78–0.91× at every bank count). [`ExecutorPool`] fixes the overhead at
-//! the source: a small set of long-lived workers (hand-rolled
-//! `Mutex` + `Condvar` job queue, zero dependencies) is spawned lazily on
-//! first use, sized from [`std::thread::available_parallelism`] (override
-//! with the `AMBIT_POOL_THREADS` environment variable), and reused across
-//! every batch for the lifetime of the [`AmbitMemory`](crate::AmbitMemory)
-//! that owns it.
-//!
-//! Jobs borrow from the submitting stack frame (the same shape
-//! `thread::scope` offers): [`run_scoped`](ExecutorPool::run_scoped) blocks
-//! until every submitted job has completed — including when a job panics —
-//! so non-`'static` borrows are sound. A panicking job is caught on the
-//! worker, surfaced to the submitter as
-//! [`AmbitError::ExecutorPanicked`](crate::AmbitError::ExecutorPanicked),
-//! and leaves the pool fully usable: the worker thread survives and keeps
-//! serving the queue. Dropping the pool shuts the workers down gracefully
-//! (the queue is necessarily empty between `run_scoped` calls, so nothing
-//! is abandoned).
+//! Bank-level parallelism is modelled in simulated time by
+//! [`IssuePolicy::BankParallel`](crate::IssuePolicy::BankParallel); host
+//! threads on top of it never beat single-threaded issue at simulator batch
+//! sizes, so the persistent worker pool was removed. What remains is a
+//! plain `std::thread::scope` fan-out that no library path calls. It exists
+//! only so the frozen `perfbench` harness, whose `pool.*` probes name it,
+//! still compiles; it goes once a later benchmark revision drops those
+//! probes.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
-use ambit_telemetry::{Counter, Histogram, Registry};
+use crate::error::Result;
 
-use crate::error::{AmbitError, Result};
-
-/// Snapshot of executor-pool activity since construction.
+/// Dispatch counters of an [`ExecutorPool`]. Kept only so the frozen
+/// `perfbench` harness compiles; goes with its `pool.*` probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads currently alive.
-    pub workers: usize,
-    /// Maximum workers the pool will spawn.
-    pub target_workers: usize,
-    /// Jobs executed on pool workers.
-    pub jobs_executed: u64,
-    /// Jobs run inline on the submitting thread (single-job batches and
-    /// single-worker pools skip the queue entirely).
-    pub inline_jobs: u64,
-    /// Dispatches that had to spawn a fresh worker thread.
-    pub cold_spawns: u64,
-    /// Dispatches served by an already-running worker — the reuse the
-    /// persistent pool exists to deliver.
+    /// Jobs handed to an already-running thread. Always 0: every job gets
+    /// a fresh scoped thread.
     pub warm_dispatches: u64,
-    /// Jobs that panicked (caught and surfaced as typed errors).
-    pub worker_panics: u64,
+    /// Jobs that spawned a scoped thread.
+    pub cold_spawns: u64,
 }
 
-type StaticJob = Box<dyn FnOnce() + Send + 'static>;
-
-struct QueueState {
-    jobs: VecDeque<(StaticJob, Instant)>,
-    shutdown: bool,
-    spawned: usize,
-    idle: usize,
-}
-
-/// Per-`run_scoped` completion tracker: jobs decrement `remaining` as they
-/// finish (successfully or by panic) and the submitter blocks on `done`
-/// until it reaches zero. This wait is what makes the `'env` job lifetime
-/// sound: no borrow escapes the call.
-struct ScopeState {
-    inner: Mutex<ScopeInner>,
-    done: Condvar,
-}
-
-struct ScopeInner {
-    remaining: usize,
-    panics: Vec<String>,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        ScopeState {
-            inner: Mutex::new(ScopeInner {
-                remaining: 0,
-                panics: Vec::new(),
-            }),
-            done: Condvar::new(),
-        }
-    }
-
-    fn finish_job(&self, panic: Option<String>) {
-        let mut inner = self.inner.lock().expect("pool scope lock poisoned");
-        inner.remaining -= 1;
-        if let Some(msg) = panic {
-            inner.panics.push(msg);
-        }
-        if inner.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait_all(&self) {
-        let mut inner = self.inner.lock().expect("pool scope lock poisoned");
-        while inner.remaining > 0 {
-            inner = self.done.wait(inner).expect("pool scope lock poisoned");
-        }
-    }
-
-    /// Panic payloads collected so far. Only meaningful after
-    /// [`wait_all`](Self::wait_all) has returned.
-    fn take_panics(&self) -> Vec<String> {
-        std::mem::take(
-            &mut self
-                .inner
-                .lock()
-                .expect("pool scope lock poisoned")
-                .panics,
-        )
-    }
-}
-
-/// Waits for all enqueued jobs even if the submitting frame unwinds between
-/// enqueue and the normal wait — the soundness backstop for scoped jobs.
-struct WaitGuard<'a>(&'a ScopeState);
-
-impl Drop for WaitGuard<'_> {
-    fn drop(&mut self) {
-        self.0.wait_all();
-    }
-}
-
-struct PoolTelemetry {
-    jobs: Counter,
-    inline_jobs: Counter,
-    cold_spawns: Counter,
-    warm_dispatches: Counter,
-    worker_panics: Counter,
-    queue_wait_us: Histogram,
-}
-
-struct PoolShared {
-    queue: Mutex<QueueState>,
-    job_ready: Condvar,
-    jobs_executed: AtomicU64,
-    inline_jobs: AtomicU64,
-    cold_spawns: AtomicU64,
-    warm_dispatches: AtomicU64,
-    worker_panics: AtomicU64,
-    telemetry: Mutex<Option<PoolTelemetry>>,
-}
-
-impl PoolShared {
-    fn observe_dequeue(&self, enqueued_at: Instant) {
-        self.jobs_executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(tel) = self.telemetry.lock().expect("pool telemetry lock poisoned").as_ref() {
-            tel.jobs.inc();
-            tel.queue_wait_us
-                .observe(enqueued_at.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-}
-
-/// A persistent pool of OS worker threads with a shared FIFO job queue.
-///
-/// See the [module docs](self) for motivation and guarantees. One pool is
-/// owned by each [`AmbitMemory`](crate::AmbitMemory) and reused for both
-/// halves of every threaded batch: the channel-sharded timing pass and the
-/// per-bank functional pass.
+/// A `std::thread::scope` fan-out: one scoped thread per job, joined before
+/// [`run_scoped`](Self::run_scoped) returns. No library path calls it; it
+/// exists only so the frozen `perfbench` harness compiles, and goes once a
+/// later benchmark revision drops the `pool.*` probes.
+#[derive(Debug, Default)]
 pub struct ExecutorPool {
-    shared: Arc<PoolShared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    target: usize,
-}
-
-impl std::fmt::Debug for ExecutorPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecutorPool")
-            .field("target", &self.target)
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
+    cold_spawns: AtomicU64,
 }
 
 impl ExecutorPool {
-    /// Creates a pool that will lazily spawn up to `target` workers (at
-    /// least 1). No threads start until the first multi-job
-    /// [`run_scoped`](Self::run_scoped) call, so idle pools are free.
-    pub fn new(target: usize) -> Self {
-        ExecutorPool {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(QueueState {
-                    jobs: VecDeque::new(),
-                    shutdown: false,
-                    spawned: 0,
-                    idle: 0,
-                }),
-                job_ready: Condvar::new(),
-                jobs_executed: AtomicU64::new(0),
-                inline_jobs: AtomicU64::new(0),
-                cold_spawns: AtomicU64::new(0),
-                warm_dispatches: AtomicU64::new(0),
-                worker_panics: AtomicU64::new(0),
-                telemetry: Mutex::new(None),
-            }),
-            workers: Mutex::new(Vec::new()),
-            target: target.max(1),
-        }
+    /// Creates a fan-out. The thread count is ignored: each
+    /// [`run_scoped`](Self::run_scoped) call spawns one thread per job.
+    pub fn new(_threads: usize) -> Self {
+        ExecutorPool::default()
     }
 
-    /// A pool sized for this host: the `AMBIT_POOL_THREADS` environment
-    /// variable if set (clamped to ≥ 1), otherwise
-    /// [`std::thread::available_parallelism`].
-    pub fn with_default_size() -> Self {
-        ExecutorPool::new(Self::default_workers())
-    }
-
-    /// The host-derived default worker target (see
-    /// [`with_default_size`](Self::with_default_size)).
-    pub fn default_workers() -> usize {
-        if let Ok(v) = std::env::var("AMBIT_POOL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-
-    /// Maximum number of workers this pool will run. The driver degrades
-    /// `BankParallelThreaded` to `BankParallel` when this is 1: with no
-    /// second core there is nothing to win, only spawn overhead to pay.
-    pub fn target_workers(&self) -> usize {
-        self.target
-    }
-
-    /// Registers `ambit_pool_*` instruments (job/spawn/reuse counters and
-    /// the queue-wait histogram) on `registry` and mirrors all activity so
-    /// far onto them, so attach order does not hide history.
-    pub fn set_telemetry(&self, registry: &Registry) {
-        let tel = PoolTelemetry {
-            jobs: registry.counter(
-                "ambit_pool_jobs_total",
-                "Jobs executed on executor-pool worker threads",
-                &[],
-            ),
-            inline_jobs: registry.counter(
-                "ambit_pool_inline_jobs_total",
-                "Jobs run inline on the submitting thread (no queue round-trip)",
-                &[],
-            ),
-            cold_spawns: registry.counter(
-                "ambit_pool_cold_spawns_total",
-                "Dispatches that had to spawn a fresh worker thread",
-                &[],
-            ),
-            warm_dispatches: registry.counter(
-                "ambit_pool_warm_dispatches_total",
-                "Dispatches served by already-running workers (pool reuse)",
-                &[],
-            ),
-            worker_panics: registry.counter(
-                "ambit_pool_worker_panics_total",
-                "Pool jobs that panicked (caught and surfaced as typed errors)",
-                &[],
-            ),
-            queue_wait_us: registry.histogram(
-                "ambit_pool_queue_wait_us",
-                "Wall-clock microseconds jobs spent queued before a worker picked them up",
-                &[],
-                &[1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0],
-            ),
-        };
-        tel.jobs.add(self.shared.jobs_executed.load(Ordering::Relaxed));
-        tel.inline_jobs.add(self.shared.inline_jobs.load(Ordering::Relaxed));
-        tel.cold_spawns.add(self.shared.cold_spawns.load(Ordering::Relaxed));
-        tel.warm_dispatches
-            .add(self.shared.warm_dispatches.load(Ordering::Relaxed));
-        tel.worker_panics
-            .add(self.shared.worker_panics.load(Ordering::Relaxed));
-        *self.shared.telemetry.lock().expect("pool telemetry lock poisoned") = Some(tel);
-    }
-
-    /// Activity counters since construction.
-    pub fn stats(&self) -> PoolStats {
-        let (workers, _) = {
-            let q = self.shared.queue.lock().expect("pool queue lock poisoned");
-            (q.spawned, q.idle)
-        };
-        PoolStats {
-            workers,
-            target_workers: self.target,
-            jobs_executed: self.shared.jobs_executed.load(Ordering::Relaxed),
-            inline_jobs: self.shared.inline_jobs.load(Ordering::Relaxed),
-            cold_spawns: self.shared.cold_spawns.load(Ordering::Relaxed),
-            warm_dispatches: self.shared.warm_dispatches.load(Ordering::Relaxed),
-            worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Runs `jobs` to completion and returns once all have finished — the
-    /// pool-backed equivalent of `std::thread::scope`: jobs may borrow from
-    /// the caller's stack frame.
-    ///
-    /// Zero- and one-job batches (and every batch on a single-worker pool)
-    /// run inline on the submitting thread: there is no parallelism to win,
-    /// and skipping the queue keeps single-bank batches at parity with
-    /// serial execution. Larger batches are enqueued for the workers, with
-    /// missing workers spawned on demand up to the target.
+    /// Runs every job on its own scoped thread and returns once all have
+    /// finished; jobs may borrow from the caller's stack frame. Always
+    /// `Ok`: a panicking job re-raises its panic on the caller, exactly as
+    /// `std::thread::scope` does.
     ///
     /// # Errors
     ///
-    /// Returns [`AmbitError::ExecutorPanicked`] if any job panicked (after
-    /// all jobs have finished). The pool remains usable.
+    /// None; the `Result` keeps the harness's call sites compiling.
     pub fn run_scoped<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) -> Result<()> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        if jobs.len() == 1 || self.target <= 1 {
-            let mut panics = Vec::new();
+        self.cold_spawns
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        std::thread::scope(|s| {
             for job in jobs {
-                self.shared.inline_jobs.fetch_add(1, Ordering::Relaxed);
-                if let Some(tel) = self
-                    .shared
-                    .telemetry
-                    .lock()
-                    .expect("pool telemetry lock poisoned")
-                    .as_ref()
-                {
-                    tel.inline_jobs.inc();
-                }
-                if let Err(p) = catch_unwind(AssertUnwindSafe(job)) {
-                    panics.push(panic_message(p));
-                }
+                s.spawn(job);
             }
-            return self.surface(panics);
+        });
+        Ok(())
+    }
+
+    /// Dispatch counters since construction.
+    pub fn stats(&self) -> PoolStats {
+        PoolStats {
+            warm_dispatches: 0,
+            cold_spawns: self.cold_spawns.load(Ordering::Relaxed),
         }
-
-        let scope = ScopeState::new();
-        let njobs = jobs.len();
-        // SAFETY: every job (and therefore every 'env borrow it captures)
-        // is guaranteed to finish before this function returns: WaitGuard
-        // blocks on the scope even if this frame unwinds, and `remaining`
-        // is incremented under the scope lock before each enqueue, so the
-        // guard never returns early.
-        let guard = WaitGuard(&scope);
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue lock poisoned");
-            for job in jobs {
-                let scope_ref = &scope;
-                let wrapped: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(job));
-                    scope_ref.finish_job(outcome.err().map(panic_message));
-                });
-                scope
-                    .inner
-                    .lock()
-                    .expect("pool scope lock poisoned")
-                    .remaining += 1;
-                let wrapped: StaticJob = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, StaticJob>(wrapped)
-                };
-                q.jobs.push_back((wrapped, Instant::now()));
-            }
-            let spawnable = self.target.saturating_sub(q.spawned);
-            let cold = njobs.saturating_sub(q.idle).min(spawnable);
-            let warm = (njobs - cold) as u64;
-            self.shared.cold_spawns.fetch_add(cold as u64, Ordering::Relaxed);
-            self.shared.warm_dispatches.fetch_add(warm, Ordering::Relaxed);
-            if let Some(tel) = self
-                .shared
-                .telemetry
-                .lock()
-                .expect("pool telemetry lock poisoned")
-                .as_ref()
-            {
-                tel.cold_spawns.add(cold as u64);
-                tel.warm_dispatches.add(warm);
-            }
-            let mut handles = self.workers.lock().expect("pool worker list poisoned");
-            for _ in 0..cold {
-                let shared = Arc::clone(&self.shared);
-                let name = format!("ambit-pool-{}", q.spawned);
-                q.spawned += 1;
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || worker_loop(shared))
-                        .expect("failed to spawn pool worker"),
-                );
-            }
-            self.shared.job_ready.notify_all();
-        }
-        drop(guard);
-        self.surface(scope.take_panics())
-    }
-
-    fn surface(&self, panics: Vec<String>) -> Result<()> {
-        if panics.is_empty() {
-            return Ok(());
-        }
-        self.shared
-            .worker_panics
-            .fetch_add(panics.len() as u64, Ordering::Relaxed);
-        if let Some(tel) = self
-            .shared
-            .telemetry
-            .lock()
-            .expect("pool telemetry lock poisoned")
-            .as_ref()
-        {
-            tel.worker_panics.add(panics.len() as u64);
-        }
-        Err(AmbitError::ExecutorPanicked {
-            message: panics.into_iter().next().unwrap_or_default(),
-        })
-    }
-}
-
-impl Drop for ExecutorPool {
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue lock poisoned");
-            q.shutdown = true;
-        }
-        self.shared.job_ready.notify_all();
-        let handles = std::mem::take(&mut *self.workers.lock().expect("pool worker list poisoned"));
-        for handle in handles {
-            // Workers drain remaining jobs before honoring shutdown, so
-            // this never abandons queued work.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>) {
-    loop {
-        let (job, enqueued_at) = {
-            let mut q = shared.queue.lock().expect("pool queue lock poisoned");
-            loop {
-                if let Some(entry) = q.jobs.pop_front() {
-                    break entry;
-                }
-                if q.shutdown {
-                    q.spawned -= 1;
-                    return;
-                }
-                q.idle += 1;
-                q = shared.job_ready.wait(q).expect("pool queue lock poisoned");
-                q.idle -= 1;
-            }
-        };
-        shared.observe_dequeue(enqueued_at);
-        // The job wrapper owns its own panic handling (catch_unwind +
-        // scope notification), so the worker thread itself never unwinds.
-        job();
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-// The pool is shared behind `&self` from multiple submitting threads (the
-// driver is `Sync`) — pin that property at compile time.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ExecutorPool>();
-};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn scoped_jobs_borrow_and_complete() {
-        let pool = ExecutorPool::new(4);
-        let mut outputs = vec![0usize; 8];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = outputs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| Box::new(move || *slot = i * i) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        pool.run_scoped(jobs).unwrap();
-        assert_eq!(outputs, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-        let stats = pool.stats();
-        assert_eq!(stats.jobs_executed, 8);
-        assert!(stats.workers <= 4);
-    }
-
-    #[test]
-    fn single_job_runs_inline_without_spawning() {
-        let pool = ExecutorPool::new(4);
-        let hit = AtomicUsize::new(0);
-        pool.run_scoped(vec![Box::new(|| {
-            hit.fetch_add(1, Ordering::Relaxed);
-        })])
-        .unwrap();
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
-        let stats = pool.stats();
-        assert_eq!(stats.inline_jobs, 1);
-        assert_eq!(stats.workers, 0, "no worker threads for inline jobs");
-    }
-
-    #[test]
-    fn workers_are_reused_across_batches() {
-        let pool = ExecutorPool::new(2);
-        for _ in 0..10 {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
-                (0..2).map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>).collect();
-            pool.run_scoped(jobs).unwrap();
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.jobs_executed, 20);
-        assert!(
-            stats.cold_spawns <= 2,
-            "long-lived workers: {} cold spawns",
-            stats.cold_spawns
-        );
-        assert!(stats.warm_dispatches >= 18);
-    }
-
-    #[test]
-    fn panicking_job_yields_typed_error_and_pool_survives() {
-        let pool = ExecutorPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| panic!("boom in worker")),
-            Box::new(|| {}),
-        ];
-        let err = pool.run_scoped(jobs).unwrap_err();
-        match err {
-            AmbitError::ExecutorPanicked { message } => {
-                assert!(message.contains("boom in worker"), "{message}")
-            }
-            other => panic!("expected ExecutorPanicked, got {other}"),
-        }
-        // The pool stays usable after a panic.
-        let ok = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|_| {
-                Box::new(|| {
-                    ok.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_scoped(jobs).unwrap();
-        assert_eq!(ok.load(Ordering::Relaxed), 4);
-        assert_eq!(pool.stats().worker_panics, 1);
-    }
-
-    #[test]
-    fn drop_joins_workers_cleanly() {
-        let pool = ExecutorPool::new(3);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
-            (0..6).map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>).collect();
-        pool.run_scoped(jobs).unwrap();
-        drop(pool); // must not hang or leak threads
-    }
-
-    #[test]
-    fn telemetry_counters_mirror_stats() {
-        use ambit_telemetry::Registry;
-        let registry = Registry::new();
-        let pool = ExecutorPool::new(2);
-        // Activity before attach is backfilled at attach time.
-        pool.run_scoped(vec![Box::new(|| {})]).unwrap();
-        pool.set_telemetry(&registry);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
-            (0..3).map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>).collect();
-        pool.run_scoped(jobs).unwrap();
-        let stats = pool.stats();
-        assert_eq!(
-            registry.counter_value("ambit_pool_jobs_total", &[]),
-            Some(stats.jobs_executed)
-        );
-        assert_eq!(
-            registry.counter_value("ambit_pool_inline_jobs_total", &[]),
-            Some(stats.inline_jobs)
-        );
-        assert_eq!(
-            registry.counter_value("ambit_pool_cold_spawns_total", &[]),
-            Some(stats.cold_spawns)
-        );
-        assert_eq!(
-            registry.counter_value("ambit_pool_warm_dispatches_total", &[]),
-            Some(stats.warm_dispatches)
-        );
-        let wait = registry.histogram_snapshot("ambit_pool_queue_wait_us", &[]).unwrap();
-        assert_eq!(wait.count, stats.jobs_executed);
     }
 }

@@ -65,8 +65,8 @@ pub enum TraceCommand {
 
 /// Per-channel command-bus state: one DDR channel is one command bus, one
 /// data bus, and one tRRD/tFAW activation window. Everything order-dependent
-/// on a channel lives here, which is what lets a per-channel timing shard
-/// replay its channel's commands bit-identically off the main timer.
+/// on a channel lives here, so a channel's timestamps are a pure function of
+/// its own command sequence.
 #[derive(Debug, Clone, Default)]
 struct ChannelLane {
     /// Current time on this channel's command bus (the cycle after the last
@@ -515,8 +515,7 @@ impl CommandTimer {
     /// Total energy (nanojoules) accumulated on the channel lane that
     /// serves `bank`. Receipts compute per-program energy as a delta of
     /// this value: a program issues on exactly one pipeline, so the delta
-    /// is a pure function of that lane's own command sequence and is
-    /// identical whether the lane replays serially or on a shard.
+    /// is a pure function of that lane's own command sequence.
     pub fn bank_energy_nj(&self, bank: usize) -> f64 {
         self.lanes
             .get(self.lane_of(bank))
@@ -882,140 +881,6 @@ impl CommandTimer {
             tel.aps.inc();
         }
         Ok((start, end))
-    }
-
-    /// Forks an independent timing shard for one channel lane.
-    ///
-    /// The shard is a snapshot of this timer that records a private delta
-    /// trace; by convention the caller only issues commands for pipelines
-    /// of `lane` on it. Because everything order-dependent on a channel
-    /// (clock, column-bus slot, tRRD/tFAW window, energy accumulator, bank
-    /// slots) lives in per-lane or per-bank state, replaying one channel's
-    /// command sequence on its shard produces bit-identical timestamps,
-    /// receipts, and energy to replaying the interleaved sequence serially
-    /// on this timer. Disjoint lanes may therefore replay on shards in
-    /// parallel and be absorbed back
-    /// ([`absorb_channel_shard`](Self::absorb_channel_shard)) in any order.
-    ///
-    /// Shared telemetry instruments stay attached (they are atomic and
-    /// order-independent); the shard's delta trace is returned at absorb
-    /// time for the caller to merge into serial order.
-    pub fn fork_channel_shard(&self, lane: usize) -> TimerShard {
-        let timer = CommandTimer {
-            timing: self.timing,
-            mode: self.mode,
-            energy_model: self.energy_model,
-            lanes: self.lanes.clone(),
-            lane_stride: self.lane_stride,
-            floor_ps: self.floor_ps,
-            banks: self.banks.clone(),
-            enforce_inter_bank: self.enforce_inter_bank,
-            horizon_ps: self.horizon_ps,
-            stats: self.stats,
-            // Always collect the delta trace (needed for the ordered merge)
-            // and park the ring: merged entries re-enter the ring via
-            // `append_trace_entries` so ring contents and drop counts stay
-            // identical to a serial replay.
-            trace: Some(Vec::new()),
-            ring: VecDeque::new(),
-            ring_cap: 0,
-            ring_dropped: 0,
-            telemetry: self.telemetry.clone(),
-        };
-        TimerShard {
-            timer,
-            lane,
-            stats_base: self.stats,
-        }
-    }
-
-    /// Merges a channel shard's state back: the lane's bus state and energy,
-    /// the bank slots the lane serves, integer stat deltas, and the horizon.
-    /// Returns the shard's delta trace (in the shard's issue order) for the
-    /// caller to interleave into serial order and append via
-    /// [`append_trace_entries`](Self::append_trace_entries).
-    ///
-    /// The caller must not have issued commands on the absorbed lane (or
-    /// its banks) on this timer since the fork — shards own their channel
-    /// exclusively between fork and absorb.
-    pub fn absorb_channel_shard(&mut self, shard: TimerShard) -> Vec<TraceEntry> {
-        let TimerShard {
-            timer: t,
-            lane,
-            stats_base,
-        } = shard;
-        debug_assert_eq!(self.lane_stride, t.lane_stride, "stride changed across fork");
-        let (lo, hi) = if self.lane_stride == usize::MAX {
-            (0, t.banks.len())
-        } else {
-            (
-                lane * self.lane_stride,
-                ((lane + 1) * self.lane_stride).min(t.banks.len()),
-            )
-        };
-        if hi > self.banks.len() {
-            self.banks.resize(hi, BankTiming::default());
-        }
-        if lo < hi {
-            self.banks[lo..hi].copy_from_slice(&t.banks[lo..hi]);
-        }
-        if let Some(l) = t.lanes.get(lane) {
-            *self.lane_mut(lane) = l.clone();
-        }
-        self.stats.activates += t.stats.activates - stats_base.activates;
-        self.stats.precharges += t.stats.precharges - stats_base.precharges;
-        self.stats.reads += t.stats.reads - stats_base.reads;
-        self.stats.writes += t.stats.writes - stats_base.writes;
-        self.stats.aaps += t.stats.aaps - stats_base.aaps;
-        self.stats.aps += t.stats.aps - stats_base.aps;
-        self.horizon_ps = self.horizon_ps.max(t.horizon_ps);
-        t.trace.unwrap_or_default()
-    }
-
-    /// Appends already-timed entries to this timer's trace sinks (the
-    /// opt-in full trace and the always-on ring) in the given order — the
-    /// write half of the shard-merge protocol.
-    pub fn append_trace_entries(&mut self, entries: &[TraceEntry]) {
-        for e in entries {
-            self.record(e.at_ps, e.bank, e.command);
-        }
-    }
-}
-
-/// A per-channel timing shard forked from a [`CommandTimer`] via
-/// [`fork_channel_shard`](CommandTimer::fork_channel_shard): an owned timer
-/// restricted by convention to one channel lane's pipelines, collecting a
-/// private delta trace. Issue commands through
-/// [`timer_mut`](Self::timer_mut), then hand the shard back to
-/// [`absorb_channel_shard`](CommandTimer::absorb_channel_shard).
-#[derive(Debug)]
-pub struct TimerShard {
-    timer: CommandTimer,
-    lane: usize,
-    stats_base: TimerStats,
-}
-
-impl TimerShard {
-    /// The shard's timer (read-only).
-    pub fn timer(&self) -> &CommandTimer {
-        &self.timer
-    }
-
-    /// The shard's timer; issue this lane's commands here.
-    pub fn timer_mut(&mut self) -> &mut CommandTimer {
-        &mut self.timer
-    }
-
-    /// The channel lane this shard owns.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// Delta-trace entries recorded on this shard so far. Workers bracket
-    /// each program with this to attribute trace spans to chunks for the
-    /// ordered merge.
-    pub fn trace_len(&self) -> usize {
-        self.timer.trace.as_ref().map_or(0, Vec::len)
     }
 }
 

@@ -62,7 +62,7 @@ impl DramGeometry {
 
     /// Two-channel variant of [`tiny`](Self::tiny): the smallest geometry
     /// with more than one command bus, so it exercises per-channel timing
-    /// lanes and the channel-sharded timing pass. 2 channels × 2 banks ×
+    /// lanes. 2 channels × 2 banks ×
     /// 2 subarrays × 32 rows of 16 bytes.
     pub fn tiny_dual_channel() -> Self {
         DramGeometry {

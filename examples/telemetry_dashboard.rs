@@ -16,23 +16,15 @@
 //!   activations resolved word-parallel versus through the bit-serial
 //!   scalar reference (fault-armed subarrays, like this campaign's, pin
 //!   to the scalar path for replay determinism),
-//! * `ambit_pool_*` counters from the persistent executor pool behind the
-//!   OS-threaded batch path: jobs executed, cold worker spawns versus warm
-//!   dispatches onto already-running workers, and the queue-wait
-//!   histogram,
 //! * the analytic Figure 9 envelope as gauges, for comparison on the same
 //!   scrape.
 //!
 //! Everything downstream of the device model is denominated in *simulated*
-//! DRAM time, so those metrics are bit-for-bit reproducible. The
-//! `ambit_pool_*` scheduling metrics are the one exception: worker spawn
-//! versus reuse and queue-wait times are real OS-scheduler behavior and
-//! may shift between runs. Run with:
+//! DRAM time, so the metrics are bit-for-bit reproducible. Run with:
 //! `cargo run --release --example telemetry_dashboard`
 
 use ambit_repro::core::{
-    AllocGroup, AmbitConfig, AmbitError, AmbitMemory, BatchBuilder, BitwiseOp, IssuePolicy,
-    ResilientConfig, ResilientExecutor,
+    AmbitConfig, AmbitError, AmbitMemory, BitwiseOp, ResilientConfig, ResilientExecutor,
 };
 use ambit_repro::dram::{
     AapMode, CampaignConfig, CellFault, DramGeometry, FaultCampaign, TimingParams,
@@ -91,44 +83,6 @@ fn main() -> Result<(), AmbitError> {
     exec.memory_mut().set_tra_fault_rate(0.26)?;
     exec.bitwise(BitwiseOp::Or, a, Some(b), out)?;
     exec.bitwise(BitwiseOp::Xor, a, Some(b), out)?;
-
-    // Phase 4: the persistent executor pool behind the OS-threaded batch
-    // path. Force a multi-worker pool so the phase behaves the same on a
-    // single-core host (where the default pool would degrade threaded
-    // issue to the serial path and leave the counters at zero), then run
-    // two threaded batches back to back — the second is served entirely by
-    // warm workers, which is the reuse `ambit_pool_warm_dispatches_total`
-    // exists to show.
-    let mut batch_mem =
-        AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
-    batch_mem.set_pool_threads(4);
-    batch_mem.set_telemetry(registry.clone());
-    let row = batch_mem.row_bits();
-    // One operand triple per bank (groups stripe across banks), so each
-    // wave carries two independent chunks and genuinely fans out.
-    let mut lanes = Vec::new();
-    for g in 0..2 {
-        let x = batch_mem.alloc_in_group(row, AllocGroup(g))?;
-        let y = batch_mem.alloc_in_group(row, AllocGroup(g))?;
-        let z = batch_mem.alloc_in_group(row, AllocGroup(g))?;
-        batch_mem.write_bits(x, &(0..row).map(|i| i % 2 == 0).collect::<Vec<_>>())?;
-        batch_mem.write_bits(y, &(0..row).map(|i| i % 5 == 0).collect::<Vec<_>>())?;
-        lanes.push((x, y, z));
-    }
-    for round in 0..2 {
-        if round > 0 {
-            // Give the workers a moment to park between batches so the
-            // second round is served warm instead of racing the workers
-            // back to the idle queue.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let mut batch = BatchBuilder::new();
-        for &(x, y, z) in &lanes {
-            batch.bitwise(BitwiseOp::And, x, Some(y), z);
-            batch.bitwise(BitwiseOp::Xor, x, Some(y), z);
-        }
-        batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
-    }
 
     // Overlay the analytic Figure 9 envelope on the same registry.
     AmbitConfig::ddr3_module().export_telemetry(&registry)?;

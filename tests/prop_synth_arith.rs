@@ -44,11 +44,7 @@ fn values(lanes: usize, width: usize, seed: u64) -> Vec<u32> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = IssuePolicy> {
-    prop_oneof![
-        Just(IssuePolicy::Serial),
-        Just(IssuePolicy::BankParallel),
-        Just(IssuePolicy::BankParallelThreaded),
-    ]
+    prop_oneof![Just(IssuePolicy::Serial), Just(IssuePolicy::BankParallel)]
 }
 
 proptest! {

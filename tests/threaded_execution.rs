@@ -1,12 +1,10 @@
-//! Integration tests for the OS-threaded batch execution path
-//! (`IssuePolicy::BankParallelThreaded`) and the `Send + Sync` data plane
-//! behind it: the threaded path must be observably identical to
-//! single-threaded bank-parallel issue (receipts, command traces, memory
-//! image, device stats), concurrent submitters over disjoint handle sets
-//! must leave the memory in the same state as a serial run, shared
-//! references must be readable from many threads at once, and fault-armed
-//! devices must fall back to serial issue so the pinned per-bit RNG draw
-//! stream is preserved.
+//! Integration tests for the `Send + Sync` data plane: concurrent
+//! submitters over disjoint handle sets must leave the memory in the same
+//! state as a serial run, and shared references must be readable from many
+//! threads at once. Also pins the contract of the
+//! `IssuePolicy::BankParallelThreaded` alias: it issues exactly as
+//! `BankParallel` (receipts, command traces, memory image, device stats)
+//! on single- and two-channel geometries.
 
 use std::sync::Mutex;
 
@@ -45,12 +43,9 @@ const OPS: [BitwiseOp; 7] = [
     BitwiseOp::Xnor,
 ];
 
-/// Builds two identical memories with a shared handle pool and random
-/// contents; handles are identical because allocation order is.
-fn mirrored_pools(seed: u64, pool: usize) -> (AmbitMemory, AmbitMemory, Vec<BitVectorHandle>) {
-    mirrored_pools_on(seed, pool, tiny, 2)
-}
-
+/// Builds two identical memories with a shared handle pool of `chunks`-row
+/// vectors and random contents; handles are identical because allocation
+/// order is.
 fn mirrored_pools_on(
     seed: u64,
     pool: usize,
@@ -59,11 +54,6 @@ fn mirrored_pools_on(
 ) -> (AmbitMemory, AmbitMemory, Vec<BitVectorHandle>) {
     let mut a = make();
     let mut b = make();
-    // `a` is the threaded-policy memory in every test: force a multi-worker
-    // pool so the threaded path executes (and is exercised) even on a
-    // one-core host, where the default pool would degrade it to
-    // BankParallel.
-    a.set_pool_threads(4);
     let bits = chunks * a.row_bits();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
     let handles: Vec<BitVectorHandle> = (0..pool)
@@ -111,86 +101,64 @@ fn random_batch(rng: &mut ChaCha8Rng, h: &[BitVectorHandle], len: usize) -> Batc
     batch
 }
 
+/// Runs one random batch of `len` ops through `BankParallelThreaded` on
+/// one of two mirrored memories and through `BankParallel` on the other,
+/// and checks the alias contract: same receipt (timing, energy, busy
+/// attribution), same command trace, same timer and device activation
+/// stats, same final memory image.
+fn check_alias_contract(
+    seed: u64,
+    len: usize,
+    (mut threaded, mut reference, h): (AmbitMemory, AmbitMemory, Vec<BitVectorHandle>),
+) -> Result<(), TestCaseError> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    threaded.controller_mut().timer_mut().set_tracing(true);
+    reference.controller_mut().timer_mut().set_tracing(true);
+    let batch = random_batch(&mut rng, &h, len);
+
+    let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
+    let rr = reference.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
+
+    prop_assert_eq!(&rt, &rr, "receipts diverge");
+    prop_assert_eq!(
+        threaded.controller().timer().trace().unwrap(),
+        reference.controller().timer().trace().unwrap(),
+        "command traces diverge"
+    );
+    prop_assert_eq!(
+        threaded.controller().timer().stats(),
+        reference.controller().timer().stats()
+    );
+    prop_assert_eq!(
+        threaded.controller().device().stats(),
+        reference.controller().device().stats()
+    );
+    for (i, &handle) in h.iter().enumerate() {
+        prop_assert_eq!(
+            threaded.peek_bits(handle).unwrap(),
+            reference.peek_bits(handle).unwrap(),
+            "vector {} diverged", i
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole property: the threaded path is indistinguishable from
-    /// single-threaded bank-parallel issue in everything but wall clock —
-    /// same receipt (timing, energy, busy attribution), same command
-    /// trace on the shared bus, same final memory image, same device
-    /// activation stats.
+    /// The alias contract: `BankParallelThreaded` is indistinguishable
+    /// from `BankParallel` on the single-channel tiny geometry.
     #[test]
     fn threaded_batch_is_byte_identical_to_bank_parallel(seed in any::<u64>(), len in 1usize..10) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (mut threaded, mut reference, h) = mirrored_pools(seed, 6);
-        threaded.controller_mut().timer_mut().set_tracing(true);
-        reference.controller_mut().timer_mut().set_tracing(true);
-        let batch = random_batch(&mut rng, &h, len);
-
-        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
-        let rr = reference.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
-
-        prop_assert_eq!(&rt, &rr, "receipts diverge");
-        prop_assert_eq!(
-            threaded.controller().timer().trace().unwrap(),
-            reference.controller().timer().trace().unwrap(),
-            "command traces diverge"
-        );
-        prop_assert_eq!(
-            threaded.controller().timer().stats(),
-            reference.controller().timer().stats()
-        );
-        prop_assert_eq!(
-            threaded.controller().device().stats(),
-            reference.controller().device().stats()
-        );
-        for (i, &handle) in h.iter().enumerate() {
-            prop_assert_eq!(
-                threaded.peek_bits(handle).unwrap(),
-                reference.peek_bits(handle).unwrap(),
-                "vector {} diverged", i
-            );
-        }
+        check_alias_contract(seed, len, mirrored_pools_on(seed, 6, tiny, 2))?;
     }
 
-    /// The same identity on a two-channel geometry, where allocations span
-    /// both channels (4 row-chunks across 4 flat banks) and the threaded
-    /// timing pass runs one shard per channel: the deterministic shard
-    /// merge must reproduce the serial receipts, the serially-interleaved
-    /// command trace, timer stats, and memory image exactly.
+    /// The same contract on a two-channel geometry, where allocations span
+    /// both channels (4 row-chunks across 4 flat banks) and per-channel
+    /// bus timing applies.
     #[test]
     fn threaded_batch_is_byte_identical_across_channels(seed in any::<u64>(), len in 1usize..10) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (mut threaded, mut reference, h) =
-            mirrored_pools_on(seed, 4, tiny_dual_channel, 4);
-        threaded.controller_mut().timer_mut().set_tracing(true);
-        reference.controller_mut().timer_mut().set_tracing(true);
-        let batch = random_batch(&mut rng, &h, len);
-
-        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
-        let rr = reference.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
-
-        prop_assert_eq!(&rt, &rr, "receipts diverge");
-        prop_assert_eq!(
-            threaded.controller().timer().trace().unwrap(),
-            reference.controller().timer().trace().unwrap(),
-            "command traces diverge"
-        );
-        prop_assert_eq!(
-            threaded.controller().timer().stats(),
-            reference.controller().timer().stats()
-        );
-        prop_assert_eq!(
-            threaded.controller().device().stats(),
-            reference.controller().device().stats()
-        );
-        for (i, &handle) in h.iter().enumerate() {
-            prop_assert_eq!(
-                threaded.peek_bits(handle).unwrap(),
-                reference.peek_bits(handle).unwrap(),
-                "vector {} diverged", i
-            );
-        }
+        check_alias_contract(seed, len, mirrored_pools_on(seed, 4, tiny_dual_channel, 4))?;
     }
 }
 
@@ -199,18 +167,18 @@ proptest! {
 /// every destination handle.
 #[allow(clippy::type_complexity)]
 fn mirrored_group_batches(
-    threaded: &mut AmbitMemory,
+    shared: &mut AmbitMemory,
     serial: &mut AmbitMemory,
     groups: usize,
     per_group: usize,
 ) -> (Vec<BatchBuilder>, Vec<BitVectorHandle>) {
-    let bits = threaded.row_bits();
+    let bits = shared.row_bits();
     let mut batches = Vec::new();
     let mut dsts = Vec::new();
     for g in 0..groups {
         let group = AllocGroup(g as u32);
         let mut alloc = |bits| {
-            let ha = threaded.alloc_in_group(bits, group).unwrap();
+            let ha = shared.alloc_in_group(bits, group).unwrap();
             let hb = serial.alloc_in_group(bits, group).unwrap();
             assert_eq!(ha, hb, "mirrored allocation order");
             ha
@@ -220,9 +188,9 @@ fn mirrored_group_batches(
         let group_dsts: Vec<_> = (0..per_group).map(|_| alloc(bits)).collect();
         let pa: Vec<bool> = (0..bits).map(|i| (i + g) % 2 == 0).collect();
         let pb: Vec<bool> = (0..bits).map(|i| (i + g) % 3 == 0).collect();
-        threaded.poke_bits(a, &pa).unwrap();
+        shared.poke_bits(a, &pa).unwrap();
         serial.poke_bits(a, &pa).unwrap();
-        threaded.poke_bits(b, &pb).unwrap();
+        shared.poke_bits(b, &pb).unwrap();
         serial.poke_bits(b, &pb).unwrap();
         let mut batch = BatchBuilder::new();
         for &d in &group_dsts {
@@ -234,7 +202,7 @@ fn mirrored_group_batches(
     (batches, dsts)
 }
 
-/// The satellite stress test: N OS threads concurrently submit batches
+/// The stress test: N OS threads concurrently submit batches
 /// over disjoint handle sets (one bank group each) against one shared
 /// memory. Whatever order the scheduler picks, the final memory bytes and
 /// the telemetry op counters must be identical to the same programs run
@@ -243,26 +211,24 @@ fn mirrored_group_batches(
 fn concurrent_submitters_over_disjoint_handles_match_serial() {
     let groups = 4;
     let per_group = 8;
-    let mut threaded = AmbitMemory::ddr3_module();
+    let mut concurrent = AmbitMemory::ddr3_module();
     let mut serial = AmbitMemory::ddr3_module();
-    threaded.set_pool_threads(4);
-    threaded.set_telemetry(Registry::new());
+    concurrent.set_telemetry(Registry::new());
     serial.set_telemetry(Registry::new());
-    let (batches, dsts) = mirrored_group_batches(&mut threaded, &mut serial, groups, per_group);
+    let (batches, dsts) = mirrored_group_batches(&mut concurrent, &mut serial, groups, per_group);
 
     // Concurrent submission: each thread owns one batch and races to
-    // lock-and-execute it on the threaded issue path.
-    let shared = Mutex::new(threaded);
+    // lock-and-execute it with bank-parallel issue.
+    let shared = Mutex::new(concurrent);
     std::thread::scope(|scope| {
         for batch in &batches {
             scope.spawn(|| {
                 let mut mem = shared.lock().unwrap();
-                mem.execute_batch(batch, IssuePolicy::BankParallelThreaded)
-                    .unwrap();
+                mem.execute_batch(batch, IssuePolicy::BankParallel).unwrap();
             });
         }
     });
-    let threaded = shared.into_inner().unwrap();
+    let concurrent = shared.into_inner().unwrap();
 
     // Serial reference: same batches, fixed order, serial issue.
     for batch in &batches {
@@ -271,7 +237,7 @@ fn concurrent_submitters_over_disjoint_handles_match_serial() {
 
     for (i, &d) in dsts.iter().enumerate() {
         assert_eq!(
-            threaded.peek_bits(d).unwrap(),
+            concurrent.peek_bits(d).unwrap(),
             serial.peek_bits(d).unwrap(),
             "destination {i} diverged from the serial reference"
         );
@@ -281,10 +247,10 @@ fn concurrent_submitters_over_disjoint_handles_match_serial() {
             .unwrap()
             .counter_value("ambit_ops_total", &[("op", "bbop_and")])
     };
-    assert_eq!(ops(&threaded), Some((groups * per_group) as u64));
-    assert_eq!(ops(&threaded), ops(&serial), "telemetry counters diverged");
+    assert_eq!(ops(&concurrent), Some((groups * per_group) as u64));
+    assert_eq!(ops(&concurrent), ops(&serial), "telemetry counters diverged");
     assert_eq!(
-        threaded.controller().device().stats(),
+        concurrent.controller().device().stats(),
         serial.controller().device().stats(),
         "device activation stats diverged"
     );
@@ -310,112 +276,4 @@ fn shared_references_read_from_many_threads() {
             assert_eq!(reader.join().unwrap(), data);
         }
     });
-}
-
-/// Pool-lifecycle satellite: 1000 consecutive small batches through one
-/// memory's persistent pool stay byte-for-byte identical to serial
-/// execution on a mirrored module, and the pool's counters show workers
-/// being reused rather than respawned per batch (the entire point of
-/// keeping them alive).
-#[test]
-fn thousand_consecutive_batches_match_serial_and_reuse_workers() {
-    let (mut threaded, mut serial, h) = mirrored_pools(0xbeef, 4);
-    for round in 0..1000u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(round);
-        let batch = random_batch(&mut rng, &h, 2);
-        let rt = threaded
-            .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-            .unwrap();
-        let rr = serial.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
-        assert_eq!(rt, rr, "receipts diverged at round {round}");
-    }
-    for (i, &handle) in h.iter().enumerate() {
-        assert_eq!(
-            threaded.peek_bits(handle).unwrap(),
-            serial.peek_bits(handle).unwrap(),
-            "vector {i} diverged after 1000 batches"
-        );
-    }
-    assert_eq!(
-        threaded.controller().timer().stats(),
-        serial.controller().timer().stats(),
-        "timer stats diverged after 1000 batches"
-    );
-    let stats = threaded.pool_stats();
-    if stats.target_workers >= 2 {
-        assert!(
-            stats.jobs_executed + stats.inline_jobs > 0,
-            "threaded batches never reached the pool: {stats:?}"
-        );
-        assert!(
-            stats.cold_spawns <= stats.target_workers as u64,
-            "workers respawned instead of reused: {stats:?}"
-        );
-    }
-}
-
-/// Auto-degrade satellite: a single-worker pool (what a one-core host
-/// gets from `available_parallelism`) silently degrades
-/// `BankParallelThreaded` to plain `BankParallel` — identical results, and
-/// the pool is never touched, so there is no spawn overhead to pay.
-#[test]
-fn single_worker_pool_degrades_threaded_to_bank_parallel() {
-    let (mut degraded, mut reference, h) = mirrored_pools(0x1c0de, 4);
-    degraded.set_pool_threads(1);
-    degraded.controller_mut().timer_mut().set_tracing(true);
-    reference.controller_mut().timer_mut().set_tracing(true);
-    let mut rng = ChaCha8Rng::seed_from_u64(0x1c0de);
-    let batch = random_batch(&mut rng, &h, 6);
-
-    let rt = degraded
-        .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-        .unwrap();
-    let rr = reference
-        .execute_batch(&batch, IssuePolicy::BankParallel)
-        .unwrap();
-    assert_eq!(rt, rr, "degraded receipts diverge");
-    assert_eq!(
-        degraded.controller().timer().trace().unwrap(),
-        reference.controller().timer().trace().unwrap(),
-        "degraded command traces diverge"
-    );
-    for &handle in &h {
-        assert_eq!(
-            degraded.peek_bits(handle).unwrap(),
-            reference.peek_bits(handle).unwrap()
-        );
-    }
-    let stats = degraded.pool_stats();
-    assert_eq!(stats.jobs_executed, 0, "degraded path must bypass the pool");
-    assert_eq!(stats.inline_jobs, 0, "degraded path must bypass the pool");
-    assert_eq!(stats.workers, 0, "no worker threads on a one-core host");
-}
-
-/// When the device is fault-armed the threaded policy must fall back to
-/// serial issue: the per-bit fault RNG draw stream is pinned to the serial
-/// command order, so both policies must produce identical (faulty) results
-/// draw for draw.
-#[test]
-fn fault_armed_threaded_policy_falls_back_to_serial_issue() {
-    let seed = 0x7a51;
-    let (mut threaded, mut reference, h) = mirrored_pools(seed, 4);
-    threaded.set_tra_fault_rate(0.26).unwrap();
-    reference.set_tra_fault_rate(0.26).unwrap();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let batch = random_batch(&mut rng, &h, 8);
-
-    let rt = threaded
-        .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-        .unwrap();
-    let rr = reference
-        .execute_batch(&batch, IssuePolicy::BankParallel)
-        .unwrap();
-    assert_eq!(rt, rr, "fallback receipts diverge");
-    for (i, &handle) in h.iter().enumerate() {
-        assert_eq!(
-            threaded.peek_bits(handle).unwrap(),
-            reference.peek_bits(handle).unwrap(),
-            "vector {i} diverged: the fault RNG draw streams must line up"
-        );
-    }
 }
