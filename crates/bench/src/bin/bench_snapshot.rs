@@ -1,1814 +1,71 @@
-//! Machine-readable performance snapshot: runs the Figure 9 operations on
-//! the telemetry-instrumented controller at the paper's DDR3-1600 module
-//! configuration and writes a JSON file with per-op throughput, latency,
-//! and energy — cross-checked against the analytic Table 3 energy model.
+//! Writes and checks the machine-readable `BENCH_*.json` snapshots.
 //!
-//! * Output path: `BENCH_telemetry.json`, overridable with the
-//!   `AMBIT_BENCH_SNAPSHOT` environment variable.
-//! * `AMBIT_QUICK` shrinks the repetition count (CI smoke mode) without
-//!   changing the code paths.
-//! * `bench_snapshot --validate <path>` re-parses a previously written
-//!   snapshot and checks its schema and energy agreement, exiting non-zero
-//!   on any violation.
+//! ```text
+//! bench_snapshot [telemetry|batch|hotpath|characterization|synth] [--out <path>]
+//! bench_snapshot --validate <path>
+//! ```
 //!
-//! A second mode benchmarks the batched execution engine:
+//! Each mode writes `BENCH_<mode>.json` (or `--out`); no mode means
+//! `telemetry`:
 //!
-//! * `bench_snapshot batch` sweeps (channels C, banks-per-channel B) over
-//!   {1} × {1, 2, 4, 8} plus the dual-channel points {2} × {4, 8}, runs a
-//!   batch of independent `bbop_and`s on every bank through
-//!   [`AmbitMemory::execute_batch`], and writes `BENCH_batch.json`
-//!   (override: `AMBIT_BENCH_BATCH_SNAPSHOT`, schema v4) with measured
-//!   throughput against the analytic [`AmbitConfig`] envelope and the
-//!   bank-parallel speedup over serial issue, both in simulated time.
-//! * `bench_snapshot --validate-batch <path>` checks a batch snapshot:
-//!   measured throughput within 10 % of the analytic envelope and speedup
-//!   at least 0.8·C·B at every swept point.
+//! * `telemetry`: Figure 9 ops, with metrics-measured energy against the
+//!   analytic Table 3 model.
+//! * `batch`: a channels × banks sweep of bank-parallel speedup and the
+//!   all-banks throughput envelope, in simulated time.
+//! * `hotpath`: the word-parallel data plane against the bit-serial
+//!   reference in wall-clock time, plus the plan-cache hit rate.
+//! * `characterization`: a V/T corner sweep and a profile-blind against
+//!   variation-aware placement A/B.
+//! * `synth`: the 256-function compile, on-device truth-table checks, and
+//!   synthesized against hand-written arithmetic kernels.
 //!
-//! A third mode benchmarks the functional data plane itself:
-//!
-//! * `bench_snapshot hotpath` sweeps row widths {1 KB, 4 KB, 8 KB} and op
-//!   mixes {tra, copy, mixed} over the word-parallel charge-share fast
-//!   path versus the forced bit-serial scalar reference
-//!   ([`ambit_dram::Subarray::set_scalar_reference`]), plus one
-//!   fault-armed point (which must fall back to the scalar path for replay
-//!   determinism) and a driver plan-cache hit-rate measurement. Writes
-//!   `BENCH_hotpath.json` (override: `AMBIT_BENCH_HOTPATH_SNAPSHOT`) and
-//!   self-validates a ≥10× wall-clock speedup on fault-free 8 KB-row TRA
-//!   with byte-identical results everywhere.
-//! * `bench_snapshot --validate-hotpath <path>` re-checks a previously
-//!   written hotpath snapshot.
-//!
-//! A fourth mode benchmarks device characterization and variation-aware
-//! placement:
-//!
-//! * `bench_snapshot characterization` characterizes one seeded chip
-//!   ([`ChipProfile`]) across a voltage/temperature corner sweep, verifies
-//!   the profile's byte-stable JSON round trip, then A/B-compares the
-//!   resilient executor at the worst-case corner: profile-blind placement
-//!   versus variation-aware placement (profile-steered allocation,
-//!   alloc-time weak-row pre-remap, per-bin retry de-rating) on the same
-//!   `FaultCampaign::from_profile` fault load. Writes
-//!   `BENCH_characterization.json` (override:
-//!   `AMBIT_BENCH_CHARACTERIZATION_SNAPSHOT`) and self-validates ≥2×
-//!   fewer recovery actions (retries + remaps + degrades + pre-remaps)
-//!   with byte-identical final vector contents.
-//! * `bench_snapshot --validate-characterization <path>` re-checks a
-//!   previously written characterization snapshot.
-//!
-//! A fifth mode benchmarks the boolean function-synthesis compiler:
-//!
-//! * `bench_snapshot synth` compiles the full 3-input truth-table space
-//!   (256 functions) through `ambit-core::synth`, records the aggregate
-//!   step/AAP/scratch/optimizer statistics, executes a slice of the
-//!   compiled programs on-device and checks each result against its truth
-//!   table, then A/B-measures the compiler-generated arithmetic kernels
-//!   (`synth_arith::{add,compare_lt,popcount}_synth`) against the
-//!   hand-written `arith` baselines on identical data. Writes
-//!   `BENCH_synth.json` (override: `AMBIT_BENCH_SYNTH_SNAPSHOT`) and
-//!   self-validates byte-identical results with every synth/hand AAP
-//!   ratio inside a fixed band.
-//! * `bench_snapshot --validate-synth <path>` re-checks a previously
-//!   written synth snapshot.
-//!
-//! The energy figures are *measured through the metrics pipeline* (the
-//! controller's `ambit_command_energy_nj` histogram), not read back from
-//! the receipts, so this snapshot also exercises the telemetry path end to
-//! end.
+//! A snapshot is validated before it is written. `--validate` re-checks a
+//! file against the gates its `schema` marker names. `AMBIT_QUICK` shrinks
+//! every run without changing its code paths.
 
 use std::process::ExitCode;
 
-use ambit_bench::quick_mode;
-use ambit_circuit::{CharacterizationConfig, ChipProfile, CircuitParams};
-use ambit_core::{
-    AllocGroup, AmbitConfig, AmbitController, AmbitMemory, BatchBuilder, BitwiseOp, IssuePolicy,
-    PlacementProfile, ResilienceConfig, ResilientExecutor, RowAddress, SubarrayLayout,
-};
-use ambit_dram::{
-    AapMode, BankId, CampaignConfig, DramGeometry, EnergyModel, FaultCampaign, TimingParams,
-    PS_PER_NS,
-};
-use ambit_telemetry::json::{self, Json};
-use ambit_telemetry::Registry;
+use ambit_bench::snapshot::{self, MODES};
 
-/// Energy agreement tolerance between the measured (metrics-integrated)
-/// and analytic Table 3 values: 1 %.
-const ENERGY_TOLERANCE: f64 = 0.01;
+const USAGE: &str = "usage: bench_snapshot [telemetry|batch|hotpath|characterization|synth] \
+                     [--out <path>] | bench_snapshot --validate <path>";
 
-/// Tolerance between the measured batch throughput and the analytic
-/// all-banks envelope: 10 % (command-bus issue stagger is real overhead
-/// the analytic model ignores).
-const BATCH_ENVELOPE_TOLERANCE: f64 = 0.10;
-
-/// Required bank-parallel speedup over serial issue, as a fraction of the
-/// ideal B×.
-const BATCH_SPEEDUP_FLOOR: f64 = 0.8;
-
-/// Analytic Table 3 energy of one op over one row, from the paper's
-/// command-program structure (Figure 8) and the [`EnergyModel`]
-/// coefficients — written independently of the simulator so the snapshot
-/// genuinely cross-checks the measured path.
-fn analytic_nj_per_row(model: &EnergyModel, op: BitwiseOp) -> f64 {
-    let aap = |w1: usize, w2: usize| {
-        model.activate_nj(w1) + model.activate_nj(w2) + model.precharge_nj()
+fn run(args: &[&str]) -> Result<(), Vec<String>> {
+    if let ["--validate", path] = args {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| vec![format!("cannot read {path}: {e}")])?;
+        let (mode, n) = snapshot::validate(&text).map_err(|errors| {
+            errors.into_iter().map(|e| format!("{path}: {e}")).collect::<Vec<_>>()
+        })?;
+        println!("{path}: valid {} snapshot, {n} rows pass its gates", mode.schema);
+        return Ok(());
+    }
+    let (name, rest) = match args {
+        [name, rest @ ..] if !name.starts_with("--") => (*name, rest),
+        _ => (MODES[0].name, args),
     };
-    let ap = |w: usize| model.activate_nj(w) + model.precharge_nj();
-    match op {
-        // copy = AAP(Di, Dk)
-        BitwiseOp::Copy => aap(1, 1),
-        // not = AAP(Di, B5); AAP(B4, Dk)
-        BitwiseOp::Not => 2.0 * aap(1, 1),
-        // and/or = 3 plain AAPs + AAP(B12 triple, Dk)
-        BitwiseOp::And | BitwiseOp::Or => 3.0 * aap(1, 1) + aap(3, 1),
-        // nand/nor = and + AAP(B4, Dk) through the dual-contact row
-        BitwiseOp::Nand | BitwiseOp::Nor => 4.0 * aap(1, 1) + aap(3, 1),
-        // xor/xnor = 3 AAPs into double-wordline B-rows, 2 triple APs,
-        // AAP(C, B), AAP(B12 triple, Dk)
-        BitwiseOp::Xor | BitwiseOp::Xnor => {
-            3.0 * aap(1, 2) + 2.0 * ap(3) + aap(1, 1) + aap(3, 1)
-        }
-        // init = AAP(C, Dk)
-        BitwiseOp::InitZero | BitwiseOp::InitOne => aap(1, 1),
-    }
-}
-
-struct OpResult {
-    op: BitwiseOp,
-    reps: u64,
-    latency_ns_per_op: f64,
-    ops_per_s: f64,
-    energy_nj_per_op: f64,
-    energy_nj_per_kb: f64,
-    analytic_nj_per_kb: f64,
-    error_frac: f64,
-    throughput_gops_analytic: f64,
-}
-
-/// Runs `reps` repetitions of `op` on a fresh instrumented controller and
-/// reads the results back out of the telemetry registry.
-fn measure(op: BitwiseOp, reps: u64, config: &AmbitConfig) -> OpResult {
-    let geometry = DramGeometry::ddr3_module();
-    let mut ctrl = AmbitController::new(geometry, config.timing, config.mode);
-    let registry = Registry::default();
-    ctrl.set_telemetry(registry.clone());
-
-    let src2 = (op.source_count() == 2).then_some(RowAddress::D(1));
-    let mut first_start_ps = None;
-    let mut last_end_ps = 0;
-    for _ in 0..reps {
-        let receipt = ctrl
-            .execute(op, BankId::zero(), 0, RowAddress::D(0), src2, RowAddress::D(2))
-            .expect("standard op program executes");
-        first_start_ps.get_or_insert(receipt.start_ps);
-        last_end_ps = last_end_ps.max(receipt.end_ps);
-    }
-    let elapsed_ns =
-        (last_end_ps - first_start_ps.unwrap_or(0)) as f64 / PS_PER_NS as f64;
-
-    // Energy through the metrics pipeline: the per-command energy
-    // histogram's sum is the total nanojoules the controller observed.
-    let energy = registry
-        .histogram_snapshot("ambit_command_energy_nj", &[])
-        .expect("controller registers the energy histogram");
-    let row_kb = geometry.row_bytes as f64 / 1024.0;
-    let energy_nj_per_op = energy.sum / reps as f64;
-    let energy_nj_per_kb = energy_nj_per_op / row_kb;
-    let analytic_nj_per_kb = analytic_nj_per_row(&EnergyModel::ddr3_1333(), op) / row_kb;
-    let latency_ns_per_op = elapsed_ns / reps as f64;
-    OpResult {
-        op,
-        reps,
-        latency_ns_per_op,
-        ops_per_s: 1e9 / latency_ns_per_op,
-        energy_nj_per_op,
-        energy_nj_per_kb,
-        analytic_nj_per_kb,
-        error_frac: (energy_nj_per_kb - analytic_nj_per_kb).abs() / analytic_nj_per_kb,
-        throughput_gops_analytic: config
-            .throughput_gops(op)
-            .expect("standard op compiles"),
-    }
-}
-
-fn render_snapshot(results: &[OpResult], config: &AmbitConfig, reps: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ambit-bench-telemetry/v1\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"timing\": \"ddr3_1600\", \"mode\": \"overlapped\", \"banks\": {}, \"row_bytes\": {}, \"reps\": {}, \"quick\": {}}},\n",
-        config.banks,
-        config.row_bytes,
-        reps,
-        quick_mode()
-    ));
-    out.push_str("  \"ops\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"reps\": {}, \"latency_ns_per_op\": {}, \"ops_per_s\": {}, \"energy_nj_per_op\": {}, \"energy_nj_per_kb\": {}, \"analytic_energy_nj_per_kb\": {}, \"energy_error_frac\": {}, \"throughput_gops_analytic\": {}}}{}\n",
-            json::escape(r.op.mnemonic()),
-            r.reps,
-            json::number(r.latency_ns_per_op),
-            json::number(r.ops_per_s),
-            json::number(r.energy_nj_per_op),
-            json::number(r.energy_nj_per_kb),
-            json::number(r.analytic_nj_per_kb),
-            json::number(r.error_frac),
-            json::number(r.throughput_gops_analytic),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Validates a snapshot file: schema marker, per-op required fields, and
-/// energy agreement within tolerance. Returns human-readable violations.
-fn validate_snapshot(text: &str) -> Result<usize, Vec<String>> {
-    let mut errors = Vec::new();
-    let doc = match Json::parse(text) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
+    let out = match rest {
+        [] => None,
+        ["--out", path] => Some(*path),
+        _ => return Err(vec![USAGE.into()]),
     };
-    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-telemetry/v1") {
-        errors.push("missing or wrong \"schema\" marker".into());
-    }
-    for key in ["banks", "row_bytes", "reps"] {
-        if doc.get("config").and_then(|c| c.get(key)).and_then(Json::as_u64).is_none() {
-            errors.push(format!("config.{key} missing or not an integer"));
-        }
-    }
-    let Some(ops) = doc.get("ops").and_then(Json::as_arr) else {
-        errors.push("\"ops\" missing or not an array".into());
-        return Err(errors);
-    };
-    if ops.is_empty() {
-        errors.push("\"ops\" is empty".into());
-    }
-    for (i, op) in ops.iter().enumerate() {
-        let name = op.get("op").and_then(Json::as_str).unwrap_or("?");
-        for key in [
-            "latency_ns_per_op",
-            "ops_per_s",
-            "energy_nj_per_op",
-            "energy_nj_per_kb",
-            "analytic_energy_nj_per_kb",
-            "energy_error_frac",
-            "throughput_gops_analytic",
-        ] {
-            if op.get(key).and_then(Json::as_f64).is_none() {
-                errors.push(format!("ops[{i}] ({name}): {key} missing or not a number"));
-            }
-        }
-        if let Some(err) = op.get("energy_error_frac").and_then(Json::as_f64) {
-            if err > ENERGY_TOLERANCE {
-                errors.push(format!(
-                    "ops[{i}] ({name}): energy off the analytic Table 3 model by {:.2}% (> {:.0}%)",
-                    err * 100.0,
-                    ENERGY_TOLERANCE * 100.0
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(ops.len())
-    } else {
-        Err(errors)
-    }
-}
-
-struct BatchResult {
-    channels: usize,
-    banks: usize,
-    ops: usize,
-    makespan_ns_parallel: f64,
-    makespan_ns_serial: f64,
-    speedup: f64,
-    measured_gops: f64,
-    analytic_gops: f64,
-    envelope_error_frac: f64,
-}
-
-/// Queues `per_bank` independent ANDs on each of `banks` banks, submitted
-/// round-robin so every bank's chain starts as early as the command bus
-/// allows; the whole batch is one dependency wave.
-fn build_bank_sweep_batch(mem: &mut AmbitMemory, banks: usize, per_bank: usize) -> BatchBuilder {
-    let bits = mem.row_bits();
-    let mut operands = Vec::with_capacity(banks);
-    for g in 0..banks {
-        let group = AllocGroup(g as u32);
-        let mut alloc = || mem.alloc_in_group(bits, group).expect("sweep fits in one subarray");
-        let a = alloc();
-        let b = alloc();
-        let dsts: Vec<_> = (0..per_bank).map(|_| alloc()).collect();
-        operands.push((a, b, dsts));
-    }
-    let mut batch = BatchBuilder::new();
-    for j in 0..per_bank {
-        for (a, b, dsts) in &operands {
-            batch.bitwise(BitwiseOp::And, *a, Some(*b), dsts[j]);
-        }
-    }
-    batch
-}
-
-/// Measures one (channels, banks) point of the sweep: bank-parallel
-/// makespan, serial baseline on an identical fresh module, and the analytic
-/// envelope at the same point.
-fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitConfig) -> BatchResult {
-    let geometry = DramGeometry {
-        channels,
-        banks,
-        ..DramGeometry::ddr3_module()
-    };
-    let total_banks = geometry.total_banks();
-    let run = |policy: IssuePolicy| {
-        let mut mem = AmbitMemory::new(geometry, config.timing, config.mode);
-        let batch = build_bank_sweep_batch(&mut mem, total_banks, per_bank);
-        mem.execute_batch(&batch, policy)
-            .expect("bank sweep batch executes")
-    };
-    let parallel = run(IssuePolicy::BankParallel);
-    let serial = run(IssuePolicy::Serial);
-
-    let ops = total_banks * per_bank;
-    let makespan_s = parallel.makespan_ps() as f64 / 1e12;
-    // Figure 9 units: billions of byte-wide operations per second. The
-    // command buses are per-channel, so channels scale the analytic
-    // envelope linearly on top of the per-channel bank model.
-    let measured_gops = ops as f64 * config.row_bytes as f64 / makespan_s / 1e9;
-    let analytic_gops = channels as f64
-        * AmbitConfig { banks, ..*config }
-            .throughput_gops(BitwiseOp::And)
-            .expect("and compiles");
-    BatchResult {
-        channels,
-        banks,
-        ops,
-        makespan_ns_parallel: parallel.makespan_ps() as f64 / PS_PER_NS as f64,
-        makespan_ns_serial: serial.makespan_ps() as f64 / PS_PER_NS as f64,
-        speedup: serial.makespan_ps() as f64 / parallel.makespan_ps() as f64,
-        measured_gops,
-        analytic_gops,
-        envelope_error_frac: (measured_gops - analytic_gops).abs() / analytic_gops,
-    }
-}
-
-fn render_batch_snapshot(results: &[BatchResult], config: &AmbitConfig, per_bank: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ambit-bench-batch/v4\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"timing\": \"ddr3_1600\", \"mode\": \"overlapped\", \"row_bytes\": {}, \"ops_per_bank\": {}, \"quick\": {}}},\n",
-        config.row_bytes,
-        per_bank,
-        quick_mode()
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"channels\": {}, \"banks\": {}, \"ops\": {}, \"makespan_ns_parallel\": {}, \"makespan_ns_serial\": {}, \"speedup\": {}, \"measured_gops\": {}, \"analytic_gops\": {}, \"envelope_error_frac\": {}}}{}\n",
-            r.channels,
-            r.banks,
-            r.ops,
-            json::number(r.makespan_ns_parallel),
-            json::number(r.makespan_ns_serial),
-            json::number(r.speedup),
-            json::number(r.measured_gops),
-            json::number(r.analytic_gops),
-            json::number(r.envelope_error_frac),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Validates a batch snapshot: schema marker, per-entry fields, measured
-/// throughput within [`BATCH_ENVELOPE_TOLERANCE`] of the analytic
-/// envelope, and speedup ≥ [`BATCH_SPEEDUP_FLOOR`]·C·B at every sweep
-/// point.
-fn validate_batch_snapshot(text: &str) -> Result<usize, Vec<String>> {
-    let mut errors = Vec::new();
-    let doc = match Json::parse(text) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-batch/v4") {
-        errors.push("missing or wrong \"schema\" marker".into());
-    }
-    for key in ["row_bytes", "ops_per_bank"] {
-        if doc.get("config").and_then(|c| c.get(key)).and_then(Json::as_u64).is_none() {
-            errors.push(format!("config.{key} missing or not an integer"));
-        }
-    }
-    let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
-        errors.push("\"sweep\" missing or not an array".into());
-        return Err(errors);
-    };
-    if sweep.is_empty() {
-        errors.push("\"sweep\" is empty".into());
-    }
-    for (i, entry) in sweep.iter().enumerate() {
-        let Some(banks) = entry.get("banks").and_then(Json::as_u64) else {
-            errors.push(format!("sweep[{i}]: banks missing or not an integer"));
-            continue;
-        };
-        let Some(channels) = entry.get("channels").and_then(Json::as_u64) else {
-            errors.push(format!("sweep[{i}]: channels missing or not an integer"));
-            continue;
-        };
-        let total_banks = channels * banks;
-        for key in [
-            "makespan_ns_parallel",
-            "makespan_ns_serial",
-            "speedup",
-            "measured_gops",
-            "analytic_gops",
-            "envelope_error_frac",
-        ] {
-            if entry.get(key).and_then(Json::as_f64).is_none() {
-                errors.push(format!(
-                    "sweep[{i}] (C={channels} B={banks}): {key} missing or not a number"
-                ));
-            }
-        }
-        if let Some(err) = entry.get("envelope_error_frac").and_then(Json::as_f64) {
-            if err > BATCH_ENVELOPE_TOLERANCE {
-                errors.push(format!(
-                    "sweep[{i}] (C={channels} B={banks}): measured throughput off the analytic envelope by {:.1}% (> {:.0}%)",
-                    err * 100.0,
-                    BATCH_ENVELOPE_TOLERANCE * 100.0
-                ));
-            }
-        }
-        if let Some(speedup) = entry.get("speedup").and_then(Json::as_f64) {
-            let floor = BATCH_SPEEDUP_FLOOR * total_banks as f64;
-            if speedup < floor {
-                errors.push(format!(
-                    "sweep[{i}] (C={channels} B={banks}): bank-parallel speedup {speedup:.2}x below the {floor:.1}x floor"
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(sweep.len())
-    } else {
-        Err(errors)
-    }
-}
-
-/// Required wall-clock speedup of the word-parallel charge-share fast path
-/// over the retained scalar reference for fault-free 3-row TRA on 8 KB
-/// rows.
-const TRA_SPEEDUP_FLOOR: f64 = 10.0;
-
-/// Coarse absolute regression floor on fast-path TRA throughput at 8 KB
-/// rows: three orders of magnitude below what a release build measures, so
-/// it only trips on a genuine fast-path regression (e.g. falling back to
-/// the bit-serial loop), not on a slow CI machine.
-const HOTPATH_OPS_FLOOR: f64 = 5_000.0;
-
-/// Required driver plan-cache hit rate for a repeated same-shape op loop.
-const PLAN_CACHE_HIT_RATE_FLOOR: f64 = 0.9;
-
-struct HotpathResult {
-    row_bytes: usize,
-    mix: &'static str,
-    fault_armed: bool,
-    reps: u64,
-    wall_ns_fast: f64,
-    wall_ns_scalar: f64,
-    ops_per_s_fast: f64,
-    ops_per_s_scalar: f64,
-    speedup: f64,
-    identical: bool,
-}
-
-/// Deterministic pseudo-random row content (keeps the bench free of RNG
-/// state while still exercising data-dependent TRA outcomes).
-fn seeded_row(bits: usize, row: usize, salt: usize) -> ambit_dram::BitRow {
-    ambit_dram::BitRow::from_fn(bits, |i| {
-        let x = (i as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((row as u64) << 32)
-            .wrapping_add(salt as u64);
-        (x ^ (x >> 29)).count_ones() % 2 == 1
-    })
-}
-
-/// Runs one op-mix loop on a subarray and returns a state fingerprint
-/// (every row plus the last sensed value) for the byte-identity check.
-fn run_hotpath_mix(
-    sa: &mut ambit_dram::Subarray,
-    mix: &str,
-    reps: u64,
-) -> Vec<ambit_dram::BitRow> {
-    use ambit_dram::Wordline;
-    let rows = sa.rows();
-    let mut last_sense = None;
-    for i in 0..reps as usize {
-        match mix {
-            // Rotating fault-free TRAs: each overwrites its three source
-            // rows with their majority, so state evolves across reps.
-            "tra" => {
-                let wls = [
-                    Wordline::data(i % rows),
-                    Wordline::data((i + 2) % rows),
-                    Wordline::data((i + 5) % rows),
-                ];
-                last_sense = Some(sa.activate(&wls).expect("TRA executes").clone());
-                sa.precharge().expect("precharge after TRA");
-            }
-            // RowClone-FPM copies: ACTIVATE src, back-to-back ACTIVATE dst.
-            "copy" => {
-                sa.activate(&[Wordline::data(i % rows)]).expect("activate src");
-                last_sense = Some(
-                    sa.activate(&[Wordline::data((i + 3) % rows)])
-                        .expect("copy activate")
-                        .clone(),
-                );
-                sa.precharge().expect("precharge after copy");
-            }
-            // Alternating copy and TRA, the shape of a real AAP program.
-            "mixed" => {
-                if i % 2 == 0 {
-                    sa.activate(&[Wordline::data(i % rows)]).expect("activate src");
-                    sa.activate(&[Wordline::data((i + 3) % rows)]).expect("copy");
-                } else {
-                    let wls = [
-                        Wordline::data(i % rows),
-                        Wordline::data((i + 2) % rows),
-                        Wordline::data((i + 5) % rows),
-                    ];
-                    last_sense = Some(sa.activate(&wls).expect("TRA executes").clone());
-                }
-                sa.precharge().expect("precharge");
-            }
-            other => panic!("unknown mix {other}"),
-        }
-    }
-    let mut fingerprint: Vec<ambit_dram::BitRow> = (0..rows).map(|r| sa.peek_row(r)).collect();
-    fingerprint.extend(last_sense);
-    fingerprint
-}
-
-/// Measures one (row width, op mix) point: identical seeded subarrays run
-/// the same loop with the fast path enabled and forced-scalar, wall-clock
-/// timed, and their final states are compared bit for bit.
-fn measure_hotpath(
-    row_bytes: usize,
-    mix: &'static str,
-    reps: u64,
-    fault_rate: f64,
-) -> HotpathResult {
-    use ambit_dram::Subarray;
-    const ROWS: usize = 8;
-    let bits = row_bytes * 8;
-    let mk = |force_scalar: bool| {
-        let mut sa = Subarray::new(ROWS, bits);
-        sa.set_scalar_reference(force_scalar);
-        if fault_rate > 0.0 {
-            sa.set_tra_fault_rate(fault_rate).expect("valid rate");
-        }
-        for r in 0..ROWS {
-            sa.poke_row(r, seeded_row(bits, r, row_bytes));
-        }
-        sa
-    };
-
-    let mut fast = mk(false);
-    let t0 = std::time::Instant::now();
-    let fp_fast = run_hotpath_mix(&mut fast, mix, reps);
-    let wall_fast = t0.elapsed();
-
-    let mut scalar = mk(true);
-    let t1 = std::time::Instant::now();
-    let fp_scalar = run_hotpath_mix(&mut scalar, mix, reps);
-    let wall_scalar = t1.elapsed();
-
-    let wall_ns_fast = wall_fast.as_nanos().max(1) as f64;
-    let wall_ns_scalar = wall_scalar.as_nanos().max(1) as f64;
-    HotpathResult {
-        row_bytes,
-        mix,
-        fault_armed: fault_rate > 0.0,
-        reps,
-        wall_ns_fast,
-        wall_ns_scalar,
-        ops_per_s_fast: reps as f64 * 1e9 / wall_ns_fast,
-        ops_per_s_scalar: reps as f64 * 1e9 / wall_ns_scalar,
-        speedup: wall_ns_scalar / wall_ns_fast,
-        identical: fp_fast == fp_scalar,
-    }
-}
-
-/// Exercises the driver plan cache with a repeated same-shape query loop
-/// (the bitmap-index / BitWeaving access pattern) and returns (reps, hits,
-/// misses).
-fn measure_plan_cache(reps: u64) -> (u64, u64, u64) {
-    let mut mem = AmbitMemory::ddr3_module();
-    let bits = mem.row_bits();
-    let a = mem.alloc(bits).expect("alloc");
-    let b = mem.alloc(bits).expect("alloc");
-    let d = mem.alloc(bits).expect("alloc");
-    mem.poke_bits(a, &vec![true; bits]).expect("poke");
-    mem.poke_bits(b, &vec![false; bits]).expect("poke");
-    for _ in 0..reps {
-        mem.bitwise(BitwiseOp::And, a, Some(b), d).expect("and");
-    }
-    let (hits, misses) = mem.plan_cache_stats();
-    (reps, hits, misses)
-}
-
-fn render_hotpath_snapshot(
-    results: &[HotpathResult],
-    plan_cache: (u64, u64, u64),
-    reps_tra: u64,
-) -> String {
-    let (pc_reps, pc_hits, pc_misses) = plan_cache;
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ambit-bench-hotpath/v1\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"rows\": 8, \"reps_tra\": {}, \"quick\": {}}},\n",
-        reps_tra,
-        quick_mode()
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"row_bytes\": {}, \"mix\": \"{}\", \"fault_armed\": {}, \"reps\": {}, \"wall_ns_fast\": {}, \"wall_ns_scalar\": {}, \"ops_per_s_fast\": {}, \"ops_per_s_scalar\": {}, \"speedup\": {}, \"identical\": {}}}{}\n",
-            r.row_bytes,
-            json::escape(r.mix),
-            r.fault_armed,
-            r.reps,
-            json::number(r.wall_ns_fast),
-            json::number(r.wall_ns_scalar),
-            json::number(r.ops_per_s_fast),
-            json::number(r.ops_per_s_scalar),
-            json::number(r.speedup),
-            r.identical,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"plan_cache\": {{\"reps\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {}}}\n",
-        pc_reps,
-        pc_hits,
-        pc_misses,
-        json::number(pc_hits as f64 / (pc_hits + pc_misses).max(1) as f64)
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Validates a hotpath snapshot: schema marker, per-entry fields, byte
-/// identity everywhere, the ≥[`TRA_SPEEDUP_FLOOR`] fast-path speedup and
-/// the [`HOTPATH_OPS_FLOOR`] absolute floor on fault-free 8 KB TRA, and the
-/// plan-cache hit rate.
-fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
-    let mut errors = Vec::new();
-    let doc = match Json::parse(text) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-hotpath/v1") {
-        errors.push("missing or wrong \"schema\" marker".into());
-    }
-    let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
-        errors.push("\"sweep\" missing or not an array".into());
-        return Err(errors);
-    };
-    if sweep.is_empty() {
-        errors.push("\"sweep\" is empty".into());
-    }
-    let mut tra_8k_checked = false;
-    for (i, entry) in sweep.iter().enumerate() {
-        let mix = entry.get("mix").and_then(Json::as_str).unwrap_or("?");
-        let row_bytes = entry.get("row_bytes").and_then(Json::as_u64).unwrap_or(0);
-        for key in [
-            "wall_ns_fast",
-            "wall_ns_scalar",
-            "ops_per_s_fast",
-            "ops_per_s_scalar",
-            "speedup",
-        ] {
-            if entry.get(key).and_then(Json::as_f64).is_none() {
-                errors.push(format!(
-                    "sweep[{i}] ({mix}@{row_bytes}B): {key} missing or not a number"
-                ));
-            }
-        }
-        match entry.get("identical") {
-            Some(Json::Bool(true)) => {}
-            _ => errors.push(format!(
-                "sweep[{i}] ({mix}@{row_bytes}B): fast and scalar paths not byte-identical"
-            )),
-        }
-        let fault_armed = matches!(entry.get("fault_armed"), Some(Json::Bool(true)));
-        if mix == "tra" && !fault_armed && row_bytes == 8192 {
-            tra_8k_checked = true;
-            if let Some(speedup) = entry.get("speedup").and_then(Json::as_f64) {
-                if speedup < TRA_SPEEDUP_FLOOR {
-                    errors.push(format!(
-                        "sweep[{i}]: fault-free 8 KB TRA speedup {speedup:.1}x below the {TRA_SPEEDUP_FLOOR:.0}x floor"
-                    ));
-                }
-            }
-            if let Some(ops) = entry.get("ops_per_s_fast").and_then(Json::as_f64) {
-                if ops < HOTPATH_OPS_FLOOR {
-                    errors.push(format!(
-                        "sweep[{i}]: fast-path 8 KB TRA throughput {ops:.0} ops/s below the coarse {HOTPATH_OPS_FLOOR:.0} ops/s regression floor"
-                    ));
-                }
-            }
-        }
-    }
-    if !tra_8k_checked {
-        errors.push("sweep has no fault-free 8 KB TRA entry to hold to the speedup floor".into());
-    }
-    match doc.get("plan_cache").and_then(|p| p.get("hit_rate")).and_then(Json::as_f64) {
-        Some(rate) if rate >= PLAN_CACHE_HIT_RATE_FLOOR => {}
-        Some(rate) => errors.push(format!(
-            "plan cache hit rate {rate:.3} below the {PLAN_CACHE_HIT_RATE_FLOOR} floor"
-        )),
-        None => errors.push("plan_cache.hit_rate missing or not a number".into()),
-    }
-    if errors.is_empty() {
-        Ok(sweep.len())
-    } else {
-        Err(errors)
-    }
-}
-
-/// The `bench_snapshot hotpath` entry point: sweep row widths and op mixes
-/// over the word-parallel and scalar-reference data planes, print the
-/// table, self-validate (speedup, identity, plan-cache hit rate), write the
-/// JSON snapshot.
-fn hotpath_main() -> ExitCode {
-    let reps_tra: u64 = if quick_mode() { 6 } else { 24 };
-    let reps_cache: u64 = if quick_mode() { 16 } else { 64 };
-    let mut results = Vec::new();
-    for row_bytes in [1024usize, 4096, 8192] {
-        for mix in ["tra", "copy", "mixed"] {
-            results.push(measure_hotpath(row_bytes, mix, reps_tra, 0.0));
-        }
-    }
-    // A fault-armed subarray must fall back to the scalar reference so the
-    // deterministic per-bit flip stream replays unchanged.
-    results.push(measure_hotpath(8192, "tra", reps_tra, 0.001));
-    let plan_cache = measure_plan_cache(reps_cache);
-
-    println!("hotpath sweep, {reps_tra} reps/point (8-row subarrays):");
-    for r in &results {
-        println!(
-            "  {:>5}B {:>5}{}: fast {:>12.0} ops/s  scalar {:>10.0} ops/s  speedup {:8.1}x  identical {}",
-            r.row_bytes,
-            r.mix,
-            if r.fault_armed { " (fault-armed)" } else { "" },
-            r.ops_per_s_fast,
-            r.ops_per_s_scalar,
-            r.speedup,
-            r.identical,
-        );
-    }
-    let (pc_reps, pc_hits, pc_misses) = plan_cache;
-    println!(
-        "  plan cache: {pc_reps} same-shape ops -> {pc_hits} hits / {pc_misses} misses"
-    );
-
-    let snapshot = render_hotpath_snapshot(&results, plan_cache, reps_tra);
-    if let Err(errors) = validate_hotpath_snapshot(&snapshot) {
-        for e in &errors {
-            eprintln!("self-validation failed: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let path = std::env::var("AMBIT_BENCH_HOTPATH_SNAPSHOT")
-        .unwrap_or_else(|_| "BENCH_hotpath.json".to_string());
-    if let Err(e) = std::fs::write(&path, &snapshot) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {path} (8 KB TRA fast path >= {TRA_SPEEDUP_FLOOR:.0}x over the scalar reference, byte-identical)"
-    );
-    ExitCode::SUCCESS
-}
-
-/// The `bench_snapshot batch` entry point: sweep (channels, banks) points,
-/// print the scaling table, self-validate, write the JSON snapshot.
-fn batch_main() -> ExitCode {
-    let config = AmbitConfig::ddr3_module();
-    let per_bank = if quick_mode() { 8 } else { 32 };
-    let results: Vec<BatchResult> = [(1, 1), (1, 2), (1, 4), (1, 8), (2, 4), (2, 8)]
+    let mode = MODES
         .into_iter()
-        .map(|(channels, banks)| measure_batch(channels, banks, per_bank, &config))
-        .collect();
-
-    println!("batch channel/bank-scaling sweep @ DDR3-1600, {per_bank} and-ops/bank:");
-    for r in &results {
-        println!(
-            "  C={} B={}: {:6} ops  makespan {:8.0} ns (serial {:9.0} ns)  speedup {:5.2}x  {:7.1} GOps/s measured vs {:7.1} analytic (err {:.2}%)",
-            r.channels,
-            r.banks,
-            r.ops,
-            r.makespan_ns_parallel,
-            r.makespan_ns_serial,
-            r.speedup,
-            r.measured_gops,
-            r.analytic_gops,
-            r.envelope_error_frac * 100.0,
-        );
-    }
-
-    let snapshot = render_batch_snapshot(&results, &config, per_bank);
-    if let Err(errors) = validate_batch_snapshot(&snapshot) {
-        for e in &errors {
-            eprintln!("self-validation failed: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let path = std::env::var("AMBIT_BENCH_BATCH_SNAPSHOT")
-        .unwrap_or_else(|_| "BENCH_batch.json".to_string());
-    if let Err(e) = std::fs::write(&path, &snapshot) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {path} (throughput within {:.0}% of the analytic envelope, speedup >= {:.1}*C*B)",
-        BATCH_ENVELOPE_TOLERANCE * 100.0,
-        BATCH_SPEEDUP_FLOOR
-    );
-    ExitCode::SUCCESS
-}
-
-/// Required factor between the profile-blind and variation-aware recovery
-/// action counts (retries + remaps + degrades + pre-remaps).
-const ACTION_REDUCTION_FLOOR: f64 = 2.0;
-
-/// The blind run must do real recovery work for the comparison to mean
-/// anything; below this the A/B is vacuous and the snapshot is rejected.
-const MIN_BLIND_ACTIONS: u64 = 4;
-
-/// Base process-variation level of the simulated chip: inside the paper's
-/// ±6 % reliable envelope at the nominal corner, marginal once undervolted
-/// and heated.
-const BASE_VARIATION_LEVEL: f64 = 0.06;
-
-/// The Table 2 worst-case corner the A/B runs at: deepest undervolt and
-/// hottest temperature of the sweep.
-const AB_VOLTAGE: f64 = 0.8;
-const AB_TEMP_C: f64 = 85.0;
-
-/// Target band for the default-placement subarray's TRA failure rate at
-/// the worst-case corner: high enough that profile-blind placement pays
-/// steady retries, low enough that it stays under the degrade bound (the
-/// regime where placement, not abandonment, decides the recovery bill).
-const AB_RATE_BAND: (f64, f64) = (0.004, 0.012);
-
-/// The strongest subarray must be genuinely strong at the corner, and not
-/// the one blind placement happens to use.
-const AB_STRONG_MAX: f64 = 1e-3;
-
-/// Chip-seed scan range: the first seed whose profile puts the blind
-/// placement target in [`AB_RATE_BAND`] with a strong alternative is the
-/// benchmark chip. Deterministic — the scan order never changes.
-const SEED_SCAN_BASE: u64 = 0xC0FF_EE00;
-const SEED_SCAN_WIDTH: u64 = 64;
-
-/// Characterization config for the bench geometry at one V/T corner.
-fn corner_config(
-    geometry: &DramGeometry,
-    first_data_row: usize,
-    seed: u64,
-    trials: u64,
-    voltage: f64,
-    temperature_c: f64,
-) -> CharacterizationConfig {
-    let mut cfg = CharacterizationConfig::for_geometry(
-        geometry.total_banks(),
-        geometry.subarrays_per_bank,
-        geometry.rows_per_subarray,
-        geometry.row_bits(),
-    );
-    cfg.seed = seed;
-    cfg.first_eligible_row = first_data_row;
-    cfg.variation_level = BASE_VARIATION_LEVEL;
-    cfg.trials_per_subarray = trials;
-    cfg.voltage_scale = voltage;
-    cfg.temperature_c = temperature_c;
-    cfg
-}
-
-/// Scans chip seeds at the worst-case corner for one where profile-blind
-/// placement (always subarray flat 0) lands on a marginal subarray while a
-/// genuinely strong one exists — the chip for which characterization pays.
-fn pick_ab_chip(
-    params: &CircuitParams,
-    geometry: &DramGeometry,
-    first_data_row: usize,
-    trials: u64,
-) -> Option<ChipProfile> {
-    for k in 0..SEED_SCAN_WIDTH {
-        let cfg = corner_config(
-            geometry,
-            first_data_row,
-            SEED_SCAN_BASE + k,
-            trials,
-            AB_VOLTAGE,
-            AB_TEMP_C,
-        );
-        let chip = ChipProfile::characterize(params, &cfg).expect("corner config is valid");
-        let rates = chip.rates();
-        let blind_rate = rates[0];
-        let strongest = rates.iter().copied().fold(f64::INFINITY, f64::min);
-        if (AB_RATE_BAND.0..=AB_RATE_BAND.1).contains(&blind_rate)
-            && strongest <= AB_STRONG_MAX
-            && strongest < blind_rate
-        {
-            return Some(chip);
-        }
-    }
-    None
-}
-
-struct CornerResult {
-    voltage: f64,
-    temperature_c: f64,
-    effective_level: f64,
-    min_rate: f64,
-    max_rate: f64,
-    weak_subarrays: usize,
-    weak_cells: usize,
-}
-
-/// Characterizes the chip seed at one corner and summarizes the map.
-fn measure_corner(
-    params: &CircuitParams,
-    geometry: &DramGeometry,
-    first_data_row: usize,
-    seed: u64,
-    trials: u64,
-    voltage: f64,
-    temperature_c: f64,
-) -> CornerResult {
-    let cfg = corner_config(geometry, first_data_row, seed, trials, voltage, temperature_c);
-    let chip = ChipProfile::characterize(params, &cfg).expect("corner config is valid");
-    let rates = chip.rates();
-    CornerResult {
-        voltage,
-        temperature_c,
-        effective_level: cfg.effective_level(),
-        min_rate: rates.iter().copied().fold(f64::INFINITY, f64::min),
-        max_rate: rates.iter().copied().fold(0.0, f64::max),
-        weak_subarrays: chip.weak_subarray_count(),
-        weak_cells: chip.weak_cells().iter().map(Vec::len).sum(),
-    }
-}
-
-/// Deterministic operand bits (keeps the A/B free of RNG state).
-fn seeded_bits(bits: usize, salt: u64) -> Vec<bool> {
-    (0..bits)
-        .map(|i| {
-            let x = (i as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(salt);
-            (x ^ (x >> 31)).count_ones() % 2 == 1
-        })
-        .collect()
-}
-
-struct AbSide {
-    retries: u64,
-    remaps: u64,
-    degrades: u64,
-    preremaps: u64,
-    cpu_fallbacks: u64,
-    actions: u64,
-    finals: Vec<Vec<bool>>,
-}
-
-/// Runs the A/B workload on one side: same chip, same
-/// [`FaultCampaign::from_profile`] fault load, with or without the
-/// variation-aware stack (profile-steered placement, alloc-time weak-row
-/// pre-remap, per-bin retry de-rating).
-fn run_ab_side(chip: &ChipProfile, aware: bool, ops: usize) -> AbSide {
-    let geometry = DramGeometry::tiny();
-    let mut mem = AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
-    if aware {
-        mem.install_profile(PlacementProfile {
-            order: chip.strength_order(),
-            weak_cells: chip.weak_cells(),
-            bins: chip.bin_codes(),
-        })
-        .expect("profile matches the bench geometry");
-    }
-    mem.reserve_spare_rows(3).expect("spares fit in the subarray");
-    let campaign = FaultCampaign::from_profile(
-        CampaignConfig {
-            seed: 0xBE9C_0001,
-            base_tra_rate: 0.0,
-            stuck_cells_per_subarray: 0,
-            weak_cells_per_subarray: 0,
-            decay_probability: 0.0,
-            first_eligible_row: chip.config.first_eligible_row,
-            ..CampaignConfig::default()
-        },
-        &geometry,
-        &chip.rates(),
-        &chip.weak_cells(),
-    )
-    .expect("profile shape matches the geometry");
-    let cfg = if aware {
-        ResilienceConfig {
-            bin_retry_multipliers: [0.5, 1.0, 2.0],
-            ..ResilienceConfig::default()
-        }
-    } else {
-        ResilienceConfig::default()
-    };
-    let mut exec = ResilientExecutor::with_campaign(mem, cfg, campaign)
-        .expect("campaign applies to the bench geometry");
-    let registry = Registry::default();
-    exec.set_telemetry(registry.clone());
-
-    let bits = exec.memory().row_bits();
-    let a = exec.alloc(bits).expect("alloc a");
-    let b = exec.alloc(bits).expect("alloc b");
-    let out = exec.alloc(bits).expect("alloc out");
-    let da = seeded_bits(bits, 0x51);
-    let db = seeded_bits(bits, 0xA7);
-    exec.write(a, &da).expect("write a");
-    exec.write(b, &db).expect("write b");
-    let cycle = [BitwiseOp::And, BitwiseOp::Or, BitwiseOp::Xor];
-    for k in 0..ops {
-        exec.bitwise(cycle[k % cycle.len()], a, Some(b), out)
-            .expect("resilient op completes");
-    }
-    let finals = vec![
-        exec.read(a).expect("read a"),
-        exec.read(b).expect("read b"),
-        exec.read(out).expect("read out"),
-    ];
-    let report = *exec.report();
-    let preremaps = registry
-        .counter_value("ambit_characterization_preremaps_total", &[])
-        .unwrap_or(0);
-    let degrades = u64::from(report.degraded);
-    AbSide {
-        retries: report.retries,
-        remaps: report.remaps,
-        degrades,
-        preremaps,
-        cpu_fallbacks: report.cpu_fallbacks,
-        actions: report.retries + report.remaps + degrades + preremaps,
-        finals,
-    }
-}
-
-/// CPU ground truth for the A/B workload's final vector contents.
-fn ab_truth(bits: usize, ops: usize) -> Vec<Vec<bool>> {
-    let da = seeded_bits(bits, 0x51);
-    let db = seeded_bits(bits, 0xA7);
-    let cycle = [BitwiseOp::And, BitwiseOp::Or, BitwiseOp::Xor];
-    let last = cycle[(ops - 1) % cycle.len()];
-    let out = (0..bits)
-        .map(|i| last.apply_words(da[i] as u64, db[i] as u64) & 1 == 1)
-        .collect();
-    vec![da, db, out]
-}
-
-fn render_characterization_snapshot(
-    chip: &ChipProfile,
-    corners: &[CornerResult],
-    roundtrip_identical: bool,
-    ops: usize,
-    blind: &AbSide,
-    aware: &AbSide,
-    identical: bool,
-) -> String {
-    let side = |s: &AbSide| {
-        format!(
-            "{{\"retries\": {}, \"remaps\": {}, \"degrades\": {}, \"preremaps\": {}, \"cpu_fallbacks\": {}, \"actions\": {}}}",
-            s.retries, s.remaps, s.degrades, s.preremaps, s.cpu_fallbacks, s.actions
-        )
-    };
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ambit-bench-characterization/v1\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"seed\": \"{}\", \"banks\": {}, \"subarrays_per_bank\": {}, \"rows_per_subarray\": {}, \"row_bits\": {}, \"trials_per_subarray\": {}, \"base_variation_level\": {}, \"quick\": {}}},\n",
-        chip.config.seed,
-        chip.config.banks,
-        chip.config.subarrays_per_bank,
-        chip.config.rows_per_subarray,
-        chip.config.row_bits,
-        chip.config.trials_per_subarray,
-        json::number(BASE_VARIATION_LEVEL),
-        quick_mode()
-    ));
-    out.push_str(&format!(
-        "  \"profile_roundtrip_identical\": {roundtrip_identical},\n"
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, c) in corners.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"voltage\": {}, \"temperature_c\": {}, \"effective_level\": {}, \"min_rate\": {}, \"max_rate\": {}, \"weak_subarrays\": {}, \"weak_cells\": {}}}{}\n",
-            json::number(c.voltage),
-            json::number(c.temperature_c),
-            json::number(c.effective_level),
-            json::number(c.min_rate),
-            json::number(c.max_rate),
-            c.weak_subarrays,
-            c.weak_cells,
-            if i + 1 < corners.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"ab\": {{\"voltage\": {}, \"temperature_c\": {}, \"ops\": {}, \"blind\": {}, \"aware\": {}, \"action_ratio\": {}, \"identical\": {}}}\n",
-        json::number(AB_VOLTAGE),
-        json::number(AB_TEMP_C),
-        ops,
-        side(blind),
-        side(aware),
-        json::number(blind.actions as f64 / aware.actions.max(1) as f64),
-        identical
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Validates a characterization snapshot: schema marker, byte-stable
-/// profile round trip, a non-empty corner sweep, byte-identical A/B
-/// results, and the ≥[`ACTION_REDUCTION_FLOOR`]× recovery-action reduction
-/// from variation-aware placement.
-fn validate_characterization_snapshot(text: &str) -> Result<usize, Vec<String>> {
-    let mut errors = Vec::new();
-    let doc = match Json::parse(text) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-characterization/v1") {
-        errors.push("missing or wrong \"schema\" marker".into());
-    }
-    for key in [
-        "banks",
-        "subarrays_per_bank",
-        "rows_per_subarray",
-        "row_bits",
-        "trials_per_subarray",
-    ] {
-        if doc.get("config").and_then(|c| c.get(key)).and_then(Json::as_u64).is_none() {
-            errors.push(format!("config.{key} missing or not an integer"));
-        }
-    }
-    if !matches!(doc.get("profile_roundtrip_identical"), Some(Json::Bool(true))) {
-        errors.push("profile JSON round trip was not byte-identical".into());
-    }
-    match doc.get("sweep").and_then(Json::as_arr) {
-        Some(sweep) if !sweep.is_empty() => {
-            for (i, c) in sweep.iter().enumerate() {
-                for key in ["voltage", "temperature_c", "effective_level", "min_rate", "max_rate"] {
-                    if c.get(key).and_then(Json::as_f64).is_none() {
-                        errors.push(format!("sweep[{i}]: {key} missing or not a number"));
-                    }
-                }
-            }
-        }
-        _ => errors.push("\"sweep\" missing, not an array, or empty".into()),
-    }
-    let Some(ab) = doc.get("ab") else {
-        errors.push("\"ab\" section missing".into());
-        return Err(errors);
-    };
-    let actions = |who: &str| -> Option<u64> {
-        ab.get(who).and_then(|s| s.get("actions")).and_then(Json::as_u64)
-    };
-    match (actions("blind"), actions("aware")) {
-        (Some(blind), Some(aware)) => {
-            if blind < MIN_BLIND_ACTIONS {
-                errors.push(format!(
-                    "blind placement saw only {blind} recovery actions (< {MIN_BLIND_ACTIONS}); the A/B is vacuous"
-                ));
-            }
-            if (blind as f64) < ACTION_REDUCTION_FLOOR * aware as f64 {
-                errors.push(format!(
-                    "variation-aware placement reduced recovery actions only {blind} -> {aware}, below the {ACTION_REDUCTION_FLOOR}x floor"
-                ));
-            }
-        }
-        _ => errors.push("ab.blind.actions / ab.aware.actions missing or not integers".into()),
-    }
-    if !matches!(ab.get("identical"), Some(Json::Bool(true))) {
-        errors.push("blind and aware final vector contents were not byte-identical".into());
-    }
-    if errors.is_empty() {
-        Ok(doc.get("sweep").and_then(Json::as_arr).map_or(0, <[Json]>::len))
-    } else {
-        Err(errors)
-    }
-}
-
-/// The `bench_snapshot characterization` entry point: pick the chip seed,
-/// sweep V/T corners, verify the profile round trip, A/B the resilient
-/// executor at the worst-case corner, self-validate, write the snapshot.
-fn characterization_main() -> ExitCode {
-    let params = CircuitParams::ddr3_55nm();
-    let geometry = DramGeometry::tiny();
-    let first_data_row = SubarrayLayout::new(geometry.rows_per_subarray)
-        .data_row(0)
-        .expect("tiny geometry has data rows");
-    let trials: u64 = if quick_mode() { 600 } else { 2_500 };
-    let ops: usize = if quick_mode() { 12 } else { 24 };
-
-    let Some(chip) = pick_ab_chip(&params, &geometry, first_data_row, trials) else {
-        eprintln!(
-            "no chip seed in [{SEED_SCAN_BASE:#x}, +{SEED_SCAN_WIDTH}) puts blind placement in the {AB_RATE_BAND:?} band with a strong alternative"
-        );
-        return ExitCode::FAILURE;
-    };
-
-    // Acceptance: persist -> load -> re-persist must be byte-identical.
-    let json_once = chip.to_json();
-    let roundtrip_identical = ChipProfile::from_json(&json_once)
-        .map(|reloaded| reloaded.to_json() == json_once)
-        .unwrap_or(false);
-
-    let corners: &[(f64, f64)] = if quick_mode() {
-        &[(1.0, 45.0), (AB_VOLTAGE, AB_TEMP_C)]
-    } else {
-        &[
-            (1.0, 45.0),
-            (1.0, 85.0),
-            (0.9, 45.0),
-            (0.9, 85.0),
-            (0.8, 45.0),
-            (AB_VOLTAGE, AB_TEMP_C),
-        ]
-    };
-    let corner_results: Vec<CornerResult> = corners
-        .iter()
-        .map(|&(v, t)| {
-            measure_corner(&params, &geometry, first_data_row, chip.config.seed, trials, v, t)
-        })
-        .collect();
-
-    println!(
-        "characterization sweep, chip seed {:#x}, {trials} trials/subarray:",
-        chip.config.seed
-    );
-    for c in &corner_results {
-        println!(
-            "  {:.1} V {:>3.0} C: level {:.3}  rates [{:.4}, {:.4}]  weak subarrays {}  weak cells {}",
-            c.voltage, c.temperature_c, c.effective_level, c.min_rate, c.max_rate,
-            c.weak_subarrays, c.weak_cells,
-        );
-    }
-
-    let blind = run_ab_side(&chip, false, ops);
-    let aware = run_ab_side(&chip, true, ops);
-    let truth = ab_truth(geometry.row_bits(), ops);
-    let identical = blind.finals == aware.finals && blind.finals == truth;
-    println!(
-        "A/B at {AB_VOLTAGE} V {AB_TEMP_C} C, {ops} ops: blind {} actions ({} retries, {} remaps, {} degrades) vs aware {} actions ({} retries, {} remaps, {} preremaps); identical {identical}",
-        blind.actions, blind.retries, blind.remaps, blind.degrades,
-        aware.actions, aware.retries, aware.remaps, aware.preremaps,
-    );
-
-    let snapshot = render_characterization_snapshot(
-        &chip, &corner_results, roundtrip_identical, ops, &blind, &aware, identical,
-    );
-    if let Err(errors) = validate_characterization_snapshot(&snapshot) {
-        for e in &errors {
-            eprintln!("self-validation failed: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let path = std::env::var("AMBIT_BENCH_CHARACTERIZATION_SNAPSHOT")
-        .unwrap_or_else(|_| "BENCH_characterization.json".to_string());
-    if let Err(e) = std::fs::write(&path, &snapshot) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {path} (variation-aware placement >= {ACTION_REDUCTION_FLOOR:.0}x fewer recovery actions, byte-identical results)"
-    );
-    ExitCode::SUCCESS
-}
-
-/// Band for the synthesized-kernel AAP cost relative to the hand-written
-/// baseline: the compiler may pay for generality, but not more than this
-/// factor, and a ratio below the floor means the A/B measured different
-/// work.
-const SYNTH_RATIO_MIN: f64 = 0.2;
-const SYNTH_RATIO_MAX: f64 = 4.5;
-
-struct SynthKernelResult {
-    name: &'static str,
-    lanes: usize,
-    width: usize,
-    hand_aaps: usize,
-    synth_aaps: usize,
-    ratio: f64,
-    identical: bool,
-}
-
-struct SynthCompileSummary {
-    tables: usize,
-    total_steps: usize,
-    total_aaps: usize,
-    total_aps: usize,
-    max_scratch_rows: usize,
-    cse_removed: usize,
-    dead_removed: usize,
-    maj3_steps: usize,
-    executed: usize,
-    identical: bool,
-}
-
-/// Compiles every 3-input truth table, executes a slice of them on the
-/// device through the batch engine, and checks each result against the
-/// table itself (inputs carry the cycling assignment pattern, so one row
-/// covers the whole truth table).
-fn measure_synth_compile(stride: usize) -> SynthCompileSummary {
-    use ambit_core::{synthesize, BoolFunc, SynthOptions, SynthProgram};
-    let plans: Vec<SynthProgram> = (0..256u64)
-        .map(|t| {
-            let f = BoolFunc::from_table(3, t).expect("3-input table");
-            synthesize(&[f], &SynthOptions::default()).expect("table synthesizes")
-        })
-        .collect();
-    let mut summary = SynthCompileSummary {
-        tables: plans.len(),
-        total_steps: 0,
-        total_aaps: 0,
-        total_aps: 0,
-        max_scratch_rows: 0,
-        cse_removed: 0,
-        dead_removed: 0,
-        maj3_steps: 0,
-        executed: 0,
-        identical: true,
-    };
-    for plan in &plans {
-        let (aaps, aps) = plan.aap_cost();
-        summary.total_steps += plan.steps().len();
-        summary.total_aaps += aaps;
-        summary.total_aps += aps;
-        summary.max_scratch_rows = summary.max_scratch_rows.max(plan.scratch_rows());
-        summary.cse_removed += plan.stats().cse_removed;
-        summary.dead_removed += plan.stats().dead_removed;
-        summary.maj3_steps += plan.stats().maj3_steps;
-    }
-
-    let mut mem =
-        AmbitMemory::new(DramGeometry::tiny(), TimingParams::ddr3_1600(), AapMode::Overlapped);
-    let bits = mem.row_bits();
-    let inputs: Vec<_> = (0..3).map(|_| mem.alloc(bits).expect("input alloc")).collect();
-    for (j, &h) in inputs.iter().enumerate() {
-        let pattern: Vec<bool> = (0..bits).map(|p| p >> j & 1 == 1).collect();
-        mem.write_bits(h, &pattern).expect("input write");
-    }
-    let out = mem.alloc(bits).expect("output alloc");
-    let pool_rows = plans.iter().map(SynthProgram::scratch_rows).max().unwrap_or(0);
-    let pool: Vec<_> = (0..pool_rows).map(|_| mem.alloc(bits).expect("scratch alloc")).collect();
-    for (t, plan) in plans.iter().enumerate().step_by(stride.max(1)) {
-        let mut batch = BatchBuilder::new();
-        plan.emit_into(&mut batch, &inputs, &pool[..plan.scratch_rows()], &[out])
-            .expect("emit");
-        mem.execute_batch(&batch, IssuePolicy::BankParallel).expect("execute");
-        let got = mem.read_bits(out).expect("readback");
-        let want: Vec<bool> = (0..bits).map(|p| (t as u64) >> (p & 7) & 1 == 1).collect();
-        summary.executed += 1;
-        summary.identical &= got == want;
-    }
-    summary
-}
-
-/// A/B-measures one arithmetic kernel: the hand-written `arith` path and
-/// the compiler-generated `synth_arith` path run the same data on one
-/// module, and the receipts' AAP counts are compared (the results must be
-/// byte-identical first).
-fn measure_synth_kernels(lanes: usize, width: usize) -> Vec<SynthKernelResult> {
-    use ambit_apps::arith::BitSlicedVector;
-    use ambit_apps::synth_arith;
-    let mut mem = AmbitMemory::new(
-        DramGeometry {
-            subarrays_per_bank: 4,
-            rows_per_subarray: 128,
-            ..DramGeometry::tiny()
-        },
-        TimingParams::ddr3_1600(),
-        AapMode::Overlapped,
-    );
-    let mask = (1u32 << width) - 1;
-    let va: Vec<u32> = (0..lanes as u32)
-        .map(|i| i.wrapping_mul(0x9e37_79b9) >> 7 & mask)
-        .collect();
-    let vb: Vec<u32> = (0..lanes as u32)
-        .map(|i| i.wrapping_mul(0x85eb_ca6b) >> 5 & mask)
-        .collect();
-    let a = BitSlicedVector::alloc(&mut mem, lanes, width).expect("alloc a");
-    let b = BitSlicedVector::alloc(&mut mem, lanes, width).expect("alloc b");
-    a.write(&mut mem, &va).expect("write a");
-    b.write(&mut mem, &vb).expect("write b");
-    let policy = IssuePolicy::BankParallel;
-
-    let mut results = Vec::new();
-    {
-        let (hand, hand_receipt) = a.add(&mut mem, &b).expect("hand add");
-        let (synth, synth_receipt) =
-            synth_arith::add_synth(&mut mem, &a, &b, policy).expect("synth add");
-        let identical = hand.read(&mem).unwrap() == synth.read(&mem).unwrap();
-        results.push(SynthKernelResult {
-            name: "add",
-            lanes,
-            width,
-            hand_aaps: hand_receipt.aaps,
-            synth_aaps: synth_receipt.total.aaps,
-            ratio: synth_receipt.total.aaps as f64 / hand_receipt.aaps.max(1) as f64,
-            identical,
-        });
-    }
-    {
-        let (hand, hand_receipt) = a.compare_lt(&mut mem, &b).expect("hand compare");
-        let (synth, synth_receipt) =
-            synth_arith::compare_lt_synth(&mut mem, &a, &b, policy).expect("synth compare");
-        let identical = mem.read_bits(hand).unwrap() == mem.read_bits(synth).unwrap();
-        results.push(SynthKernelResult {
-            name: "compare_lt",
-            lanes,
-            width,
-            hand_aaps: hand_receipt.aaps,
-            synth_aaps: synth_receipt.total.aaps,
-            ratio: synth_receipt.total.aaps as f64 / hand_receipt.aaps.max(1) as f64,
-            identical,
-        });
-    }
-    {
-        let (hand, hand_receipt) = a.popcount(&mut mem).expect("hand popcount");
-        let (synth, synth_receipt) =
-            synth_arith::popcount_synth(&mut mem, &a, policy).expect("synth popcount");
-        let identical = hand.read(&mem).unwrap() == synth.read(&mem).unwrap();
-        results.push(SynthKernelResult {
-            name: "popcount",
-            lanes,
-            width,
-            hand_aaps: hand_receipt.aaps,
-            synth_aaps: synth_receipt.total.aaps,
-            ratio: synth_receipt.total.aaps as f64 / hand_receipt.aaps.max(1) as f64,
-            identical,
-        });
-    }
-    results
-}
-
-fn render_synth_snapshot(
-    compile: &SynthCompileSummary,
-    kernels: &[SynthKernelResult],
-) -> String {
-    let scratch_ceiling =
-        SubarrayLayout::new(DramGeometry::tiny().rows_per_subarray).data_rows();
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ambit-bench-synth/v1\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"inputs\": 3, \"tables\": {}, \"scratch_ceiling\": {}, \"quick\": {}}},\n",
-        compile.tables,
-        scratch_ceiling,
-        quick_mode()
-    ));
-    out.push_str(&format!(
-        "  \"compile\": {{\"total_steps\": {}, \"total_aaps\": {}, \"total_aps\": {}, \"mean_aaps\": {}, \"max_scratch_rows\": {}, \"cse_removed\": {}, \"dead_removed\": {}, \"maj3_steps\": {}}},\n",
-        compile.total_steps,
-        compile.total_aaps,
-        compile.total_aps,
-        json::number(compile.total_aaps as f64 / compile.tables.max(1) as f64),
-        compile.max_scratch_rows,
-        compile.cse_removed,
-        compile.dead_removed,
-        compile.maj3_steps
-    ));
-    out.push_str(&format!(
-        "  \"executed\": {{\"tables\": {}, \"identical\": {}}},\n",
-        compile.executed, compile.identical
-    ));
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"lanes\": {}, \"width\": {}, \"hand_aaps\": {}, \"synth_aaps\": {}, \"ratio\": {}, \"identical\": {}}}{}\n",
-            json::escape(k.name),
-            k.lanes,
-            k.width,
-            k.hand_aaps,
-            k.synth_aaps,
-            json::number(k.ratio),
-            k.identical,
-            if i + 1 < kernels.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Validates a synth snapshot: schema marker, all 256 tables compiled,
-/// a non-empty on-device slice that matched its truth tables, scratch
-/// under the tiny per-subarray ceiling, and every kernel A/B byte-identical
-/// with an AAP ratio inside [[`SYNTH_RATIO_MIN`], [`SYNTH_RATIO_MAX`]].
-fn validate_synth_snapshot(text: &str) -> Result<usize, Vec<String>> {
-    let mut errors = Vec::new();
-    let doc = match Json::parse(text) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("not valid JSON: {e}")]),
-    };
-    if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-synth/v1") {
-        errors.push("missing or wrong \"schema\" marker".into());
-    }
-    if doc.get("config").and_then(|c| c.get("tables")).and_then(Json::as_u64) != Some(256) {
-        errors.push("config.tables must be 256 (the full 3-input space)".into());
-    }
-    let ceiling = doc
-        .get("config")
-        .and_then(|c| c.get("scratch_ceiling"))
-        .and_then(Json::as_u64);
-    match ceiling {
-        Some(ceiling) => {
-            match doc.get("compile").and_then(|c| c.get("max_scratch_rows")).and_then(Json::as_u64)
-            {
-                // 3 input rows + 1 output row share the subarray.
-                Some(rows) if rows + 4 <= ceiling => {}
-                Some(rows) => errors.push(format!(
-                    "max scratch {rows} rows + 3 inputs + 1 output exceed the {ceiling}-row subarray ceiling"
-                )),
-                None => errors.push("compile.max_scratch_rows missing or not an integer".into()),
-            }
-        }
-        None => errors.push("config.scratch_ceiling missing or not an integer".into()),
-    }
-    for key in ["total_steps", "total_aaps", "cse_removed", "dead_removed"] {
-        if doc.get("compile").and_then(|c| c.get(key)).and_then(Json::as_u64).is_none() {
-            errors.push(format!("compile.{key} missing or not an integer"));
-        }
-    }
-    match doc.get("executed").and_then(|e| e.get("tables")).and_then(Json::as_u64) {
-        Some(n) if n > 0 => {}
-        _ => errors.push("executed.tables missing or zero".into()),
-    }
-    if !matches!(
-        doc.get("executed").and_then(|e| e.get("identical")),
-        Some(Json::Bool(true))
-    ) {
-        errors.push("on-device execution diverged from the truth tables".into());
-    }
-    let Some(kernels) = doc.get("kernels").and_then(Json::as_arr) else {
-        errors.push("\"kernels\" missing or not an array".into());
-        return Err(errors);
-    };
-    if kernels.is_empty() {
-        errors.push("\"kernels\" is empty".into());
-    }
-    for (i, k) in kernels.iter().enumerate() {
-        let name = k.get("name").and_then(Json::as_str).unwrap_or("?");
-        if !matches!(k.get("identical"), Some(Json::Bool(true))) {
-            errors.push(format!(
-                "kernels[{i}] ({name}): synthesized result not byte-identical to the hand-written kernel"
-            ));
-        }
-        match k.get("ratio").and_then(Json::as_f64) {
-            Some(ratio) if (SYNTH_RATIO_MIN..=SYNTH_RATIO_MAX).contains(&ratio) => {}
-            Some(ratio) => errors.push(format!(
-                "kernels[{i}] ({name}): AAP ratio {ratio:.2} outside [{SYNTH_RATIO_MIN}, {SYNTH_RATIO_MAX}]"
-            )),
-            None => errors.push(format!("kernels[{i}] ({name}): ratio missing or not a number")),
-        }
-    }
-    if errors.is_empty() {
-        Ok(kernels.len())
-    } else {
-        Err(errors)
-    }
-}
-
-/// The `bench_snapshot synth` entry point: compile the full 3-input table
-/// space, execute a slice on-device against the truth tables, A/B the
-/// compiler-generated arithmetic kernels against the hand-written ones,
-/// self-validate, write the JSON snapshot.
-fn synth_main() -> ExitCode {
-    let stride = if quick_mode() { 4 } else { 1 };
-    let (lanes, width) = if quick_mode() { (48, 6) } else { (96, 8) };
-    let compile = measure_synth_compile(stride);
-    let kernels = measure_synth_kernels(lanes, width);
-
-    println!(
-        "synth compile: {} tables -> {} steps, {} AAPs + {} APs (mean {:.1} AAPs/function), max scratch {} rows, CSE -{}, DSE -{}",
-        compile.tables,
-        compile.total_steps,
-        compile.total_aaps,
-        compile.total_aps,
-        compile.total_aaps as f64 / compile.tables as f64,
-        compile.max_scratch_rows,
-        compile.cse_removed,
-        compile.dead_removed,
-    );
-    println!(
-        "synth execute: {} tables on-device, identical {}",
-        compile.executed, compile.identical
-    );
-    for k in &kernels {
-        println!(
-            "  {:>10} ({} lanes x {} bits): hand {:5} AAPs  synth {:5} AAPs  ratio {:.2}  identical {}",
-            k.name, k.lanes, k.width, k.hand_aaps, k.synth_aaps, k.ratio, k.identical,
-        );
-    }
-
-    let snapshot = render_synth_snapshot(&compile, &kernels);
-    if let Err(errors) = validate_synth_snapshot(&snapshot) {
-        for e in &errors {
-            eprintln!("self-validation failed: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let path = std::env::var("AMBIT_BENCH_SYNTH_SNAPSHOT")
-        .unwrap_or_else(|_| "BENCH_synth.json".to_string());
-    if let Err(e) = std::fs::write(&path, &snapshot) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {path} (all compiled tables conform, kernel AAP ratios within [{SYNTH_RATIO_MIN}, {SYNTH_RATIO_MAX}])"
-    );
-    ExitCode::SUCCESS
+        .find(|m| m.name == name)
+        .ok_or_else(|| vec![format!("unknown mode {name:?}; {USAGE}")])?;
+    snapshot::publish(mode, out)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() == 2 && args[1] == "batch" {
-        return batch_main();
-    }
-    if args.len() == 2 && args[1] == "synth" {
-        return synth_main();
-    }
-    if args.len() == 3 && args[1] == "--validate-synth" {
-        let text = match std::fs::read_to_string(&args[2]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", args[2]);
-                return ExitCode::FAILURE;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(errors) => {
+            for e in &errors {
+                eprintln!("{e}");
             }
-        };
-        return match validate_synth_snapshot(&text) {
-            Ok(n) => {
-                println!(
-                    "{}: valid synth snapshot, {n} kernel A/Bs within the AAP band",
-                    args[2]
-                );
-                ExitCode::SUCCESS
-            }
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("{}: {e}", args[2]);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.len() == 2 && args[1] == "characterization" {
-        return characterization_main();
-    }
-    if args.len() == 3 && args[1] == "--validate-characterization" {
-        let text = match std::fs::read_to_string(&args[2]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", args[2]);
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_characterization_snapshot(&text) {
-            Ok(n) => {
-                println!(
-                    "{}: valid characterization snapshot, {n} corners swept, A/B within floors",
-                    args[2]
-                );
-                ExitCode::SUCCESS
-            }
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("{}: {e}", args[2]);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.len() == 2 && args[1] == "hotpath" {
-        return hotpath_main();
-    }
-    if args.len() == 3 && args[1] == "--validate-hotpath" {
-        let text = match std::fs::read_to_string(&args[2]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", args[2]);
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_hotpath_snapshot(&text) {
-            Ok(n) => {
-                println!(
-                    "{}: valid hotpath snapshot, {n} sweep points byte-identical",
-                    args[2]
-                );
-                ExitCode::SUCCESS
-            }
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("{}: {e}", args[2]);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.len() == 3 && args[1] == "--validate-batch" {
-        let text = match std::fs::read_to_string(&args[2]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", args[2]);
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_batch_snapshot(&text) {
-            Ok(n) => {
-                println!(
-                    "{}: valid batch snapshot, {n} sweep points within tolerance",
-                    args[2]
-                );
-                ExitCode::SUCCESS
-            }
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("{}: {e}", args[2]);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.len() == 3 && args[1] == "--validate" {
-        let text = match std::fs::read_to_string(&args[2]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", args[2]);
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_snapshot(&text) {
-            Ok(n) => {
-                println!("{}: valid snapshot, {n} ops within tolerance", args[2]);
-                ExitCode::SUCCESS
-            }
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("{}: {e}", args[2]);
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let config = AmbitConfig::ddr3_module();
-    let reps: u64 = if quick_mode() { 4 } else { 64 };
-    let ops = [
-        BitwiseOp::Not,
-        BitwiseOp::And,
-        BitwiseOp::Or,
-        BitwiseOp::Xor,
-    ];
-    let results: Vec<OpResult> = ops.iter().map(|&op| measure(op, reps, &config)).collect();
-
-    println!("bench snapshot @ DDR3-1600, {} reps/op:", reps);
-    for r in &results {
-        println!(
-            "  {:>8}: {:7.1} ns/op  {:9.0} ops/s  {:6.2} nJ/KB (analytic {:6.2}, err {:.3}%)  {:5.1} GOps/s analytic",
-            r.op.mnemonic(),
-            r.latency_ns_per_op,
-            r.ops_per_s,
-            r.energy_nj_per_kb,
-            r.analytic_nj_per_kb,
-            r.error_frac * 100.0,
-            r.throughput_gops_analytic,
-        );
-    }
-
-    let snapshot = render_snapshot(&results, &config, reps);
-    // Self-validate before writing: a snapshot that fails its own energy
-    // cross-check must not land on disk looking healthy.
-    if let Err(errors) = validate_snapshot(&snapshot) {
-        for e in &errors {
-            eprintln!("self-validation failed: {e}");
+            ExitCode::FAILURE
         }
-        return ExitCode::FAILURE;
     }
-    let path = std::env::var("AMBIT_BENCH_SNAPSHOT")
-        .unwrap_or_else(|_| "BENCH_telemetry.json".to_string());
-    if let Err(e) = std::fs::write(&path, &snapshot) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path} (energy within {:.0}% of the analytic Table 3 model)",
-        ENERGY_TOLERANCE * 100.0);
-    ExitCode::SUCCESS
 }

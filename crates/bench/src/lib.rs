@@ -3,12 +3,15 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (see DESIGN.md for the full index); the Criterion
 //! benches in `benches/` measure the simulator itself. This library crate
-//! holds the shared report-formatting helpers and quick-mode plumbing.
+//! holds the shared report-formatting helpers, quick-mode plumbing, and
+//! the [`snapshot`] modes behind `bench_snapshot`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::fmt::Display;
+
+pub mod snapshot;
 
 /// Returns `true` when `AMBIT_QUICK` is set: harnesses shrink their sweeps
 /// for smoke testing (CI) while keeping the same code paths.

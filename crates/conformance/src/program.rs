@@ -12,7 +12,7 @@
 use ambit_core::BitwiseOp;
 use ambit_dram::{AapMode, DramGeometry, TieBreak, TimingParams};
 
-use crate::json::{self, Json};
+use ambit_telemetry::json::{self, Json};
 use crate::refrng::ReferenceRng;
 
 /// Device geometry, by name (the repro format never embeds raw field
@@ -603,7 +603,7 @@ mod tests {
     fn json_round_trip_preserves_programs() {
         let p = sample();
         let text = p.to_json().to_string();
-        let back = Program::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 
@@ -613,7 +613,7 @@ mod tests {
         // decimal strings, beyond f64's integer range).
         let p = Program { profile_seed: Some(u64::MAX - 7), ..sample() };
         let text = p.to_json().to_string();
-        let back = Program::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 
@@ -675,7 +675,7 @@ mod tests {
             dst: 2,
         };
         let text = p.to_json().to_string();
-        let back = Program::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 

@@ -8,7 +8,7 @@
 //! environment, allocation plan, ops, optional mutation, and the observed
 //! failures) that replays bit-identically on any machine.
 
-use crate::json::{self, Json};
+use ambit_telemetry::json::{self, Json};
 use crate::oracle::{run_oracle, Failure, Mutation, OracleReport};
 use crate::program::Program;
 
@@ -182,7 +182,7 @@ impl Repro {
     ///
     /// A description of the first structural defect.
     pub fn from_json_text(text: &str) -> Result<Repro, String> {
-        let doc = json::parse(text)?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         if doc.get("format").and_then(Json::as_str) != Some("ambit-conformance-repro-v1") {
             return Err("not an ambit-conformance-repro-v1 document".into());
         }
@@ -292,6 +292,55 @@ mod tests {
     fn conforming_programs_capture_nothing() {
         let program = generate(1, &GeneratorConfig::default());
         assert!(Repro::capture(&program, None).is_none());
+    }
+
+    #[test]
+    fn serialized_bytes_are_stable() {
+        use crate::program::{GeometryKind, ProgOp, TimingKind, VectorSpec};
+        use ambit_core::BitwiseOp;
+        use ambit_dram::{AapMode, TieBreak};
+        let repro = Repro {
+            program: Program {
+                seed: u64::MAX - 12_345,
+                geometry: GeometryKind::TinyDual,
+                timing: TimingKind::Ddr4_2400,
+                aap_mode: AapMode::Naive,
+                tie_break: TieBreak::Zero,
+                fault_tra_rate: Some(0.0029),
+                profile_seed: Some(0xC0FF_EE00_DEAD_BEEF),
+                vectors: vec![
+                    VectorSpec { bits: 256, group: 1, data_seed: 1 << 60 },
+                    VectorSpec { bits: 256, group: 1, data_seed: 7 },
+                    VectorSpec { bits: 256, group: 1, data_seed: u64::MAX },
+                ],
+                ops: vec![
+                    ProgOp::Bitwise { op: BitwiseOp::Xor, src1: 0, src2: Some(1), dst: 2 },
+                    ProgOp::Fold { op: BitwiseOp::And, srcs: vec![0, 1, 2], dst: 1 },
+                ],
+            },
+            mutation: Some(Mutation { path: "batch_serial".into(), vector: 2, bit: 129 }),
+            failures: vec![Failure {
+                path: "batch_serial".into(),
+                detail: "vector 2 bit 129: \"want\" 0\tgot 1".into(),
+            }],
+        };
+        // The exact bytes repro files have always had: sorted keys, no
+        // spaces, full-width integers as decimal strings.
+        let want = concat!(
+            r#"{"failures":[{"detail":"vector 2 bit 129: \"want\" 0\tgot 1","path":"batch_serial"}],"#,
+            r#""format":"ambit-conformance-repro-v1","mutation":{"bit":129,"path":"batch_serial","vector":2},"#,
+            r#""program":{"aap_mode":"naive","fault_tra_rate":0.0029,"geometry":"tiny2ch","#,
+            r#""ops":[{"dst":2,"kind":"bitwise","op":"bbop_xor","src1":0,"src2":1},"#,
+            r#"{"dst":1,"kind":"fold","op":"bbop_and","srcs":[0,1,2]}],"#,
+            r#""profile_seed":"13907095861846720239","seed":"18446744073709539270","#,
+            r#""tie_break":"zero","timing":"ddr4_2400","vectors":["#,
+            r#"{"bits":256,"data_seed":"1152921504606846976","group":1},"#,
+            r#"{"bits":256,"data_seed":"7","group":1},"#,
+            r#"{"bits":256,"data_seed":"18446744073709551615","group":1}]}}"#,
+        );
+        let text = repro.to_json().to_string();
+        assert_eq!(text, want);
+        assert_eq!(Repro::from_json_text(&text).unwrap(), repro);
     }
 
     #[test]

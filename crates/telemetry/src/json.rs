@@ -1,11 +1,12 @@
-//! Minimal JSON support: string escaping for the exporters and a small
-//! recursive-descent parser for validating emitted snapshots.
+//! Minimal JSON support: string escaping and number formatting for the
+//! exporters, a compact writer, and a small recursive-descent parser.
 //!
 //! The repository is built offline with no external dependencies, so the
-//! bench snapshot and JSONL trace formats are produced and consumed by this
-//! hand-rolled module instead of `serde_json`. It supports exactly the JSON
-//! subset the exporters emit: objects, arrays, strings with `\uXXXX`
-//! escapes, finite numbers, booleans, and null.
+//! bench snapshots, the JSONL trace and the conformance repro files are
+//! produced and consumed by this hand-rolled module instead of
+//! `serde_json`. It supports exactly the JSON subset those formats use:
+//! objects, arrays, strings with `\uXXXX` escapes, finite numbers,
+//! booleans, and null.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,14 +41,32 @@ pub fn number(v: f64) -> String {
     }
 }
 
-/// A parsed JSON value.
+/// Builds an object from key/value pairs.
+pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A number from any unsigned integer (exact up to 2^53).
+pub fn num(n: u64) -> Json {
+    Json::Num(n as f64)
+}
+
+/// A full-width 64-bit integer as a decimal string, exact where
+/// [`Json::Num`]'s `f64` would round above 2^53. Read it back with
+/// [`Json::as_u64_any`].
+pub fn big(n: u64) -> Json {
+    Json::Str(n.to_string())
+}
+
+/// A parsed JSON value. `Display` writes it as compact JSON (no spaces,
+/// object keys sorted), with every number through [`number`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// Any JSON number (stored as `f64`).
     Num(f64),
     /// A string.
     Str(String),
@@ -102,6 +121,15 @@ impl Json {
         }
     }
 
+    /// The value as `u64` from either a number or a decimal string (see
+    /// [`big`]).
+    pub fn as_u64_any(&self) -> Option<u64> {
+        match self {
+            Json::Str(s) => s.parse().ok(),
+            _ => self.as_u64(),
+        }
+    }
+
     /// The value as `&str` if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -123,6 +151,33 @@ impl Json {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(v) => f.write_str(&number(*v)),
+            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    let sep = if i > 0 { "," } else { "" };
+                    write!(f, "{sep}{v}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(map) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    let sep = if i > 0 { "," } else { "" };
+                    write!(f, "{sep}\"{}\":{v}", escape(k))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -338,9 +393,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_trailing_garbage() {
-        assert!(Json::parse("{} x").is_err());
-        assert!(Json::parse("{\"a\":}").is_err());
+    fn parses_whitespace_and_empty_containers() {
+        assert_eq!(Json::parse(" { } ").unwrap(), Json::Obj(BTreeMap::new()));
+        assert_eq!(Json::parse("[ ]").unwrap(), Json::Arr(vec![]));
+        assert_eq!(Json::parse("-12.5").unwrap(), Json::Num(-12.5));
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
+        for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "nul", "[1 2]", "{}x", "{} x", "{\"a\":}"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
     }
 
     #[test]
@@ -348,6 +411,29 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(Json::parse("4.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        // Beyond u64 range: no saturating cast to u64::MAX.
+        assert_eq!(Json::parse("1e20").unwrap().as_u64(), None);
+        // Seeds above 2^53 travel as decimal strings.
+        let seed = (1u64 << 53) + 1;
+        assert_eq!(Json::parse(&big(seed).to_string()).unwrap().as_u64_any(), Some(seed));
+    }
+
+    #[test]
+    fn compact_writer_round_trips_nested_documents() {
+        let doc = obj(vec![
+            ("seed", big(u64::MAX)),
+            ("rate", Json::Num(0.125)),
+            ("name", Json::Str("a \"quoted\" name\n".into())),
+            ("flag", Json::Bool(true)),
+            ("none", Json::Null),
+            ("items", Json::Arr(vec![num(1), num(2), obj(vec![("k", Json::Str("v".into()))])])),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            r#"{"flag":true,"items":[1,2,{"k":"v"}],"name":"a \"quoted\" name\n","none":null,"rate":0.125,"seed":"18446744073709551615"}"#
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]
