@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ambit_dram::{
     AapMode, BankId, BitRow, CampaignTick, CellFault, DramGeometry, FaultCampaign,
@@ -55,12 +55,73 @@ struct VectorMeta {
     chunks: Vec<ChunkLoc>,
 }
 
-/// One compiled per-chunk command program, ready to issue.
-#[derive(Debug, Clone)]
+/// One compiled per-chunk command program, ready to issue. Commands are
+/// stored as [`PackedCmd`]s: cached plans are the driver's largest
+/// long-lived structure once a workload has issued thousands of distinct
+/// ops, and packing cuts a typical 5-command program from 160 to 40 bytes.
+#[derive(Debug)]
 struct ChunkProgram {
     bank: BankId,
     subarray: usize,
-    program: Vec<AmbitCmd>,
+    program: Box<[PackedCmd]>,
+}
+
+impl ChunkProgram {
+    /// Packs `program`; fails with [`AmbitError::DataRowOutOfRange`] on a
+    /// D-group index of 2^30 or more, beyond what a packed plan addresses.
+    fn new(bank: BankId, subarray: usize, program: &[AmbitCmd]) -> Result<ChunkProgram> {
+        Ok(ChunkProgram {
+            bank,
+            subarray,
+            program: program.iter().map(|&c| PackedCmd::pack(c)).collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// An [`AmbitCmd`] in 8 bytes: one packed row address per activation, the
+/// second [`NONE`](Self::NONE) for an AP. A packed address carries its
+/// group in the top two bits (D = 0, B = 1, C = 2) and its index below.
+#[derive(Debug, Clone, Copy)]
+struct PackedCmd(u32, u32);
+
+impl PackedCmd {
+    const B: u32 = 1 << 30;
+    const C: u32 = 2 << 30;
+    const NONE: u32 = u32::MAX;
+
+    fn pack(cmd: AmbitCmd) -> Result<PackedCmd> {
+        Ok(match cmd {
+            AmbitCmd::Aap(a1, a2) => PackedCmd(Self::pack_addr(a1)?, Self::pack_addr(a2)?),
+            AmbitCmd::Ap(a) => PackedCmd(Self::pack_addr(a)?, Self::NONE),
+        })
+    }
+
+    fn pack_addr(addr: RowAddress) -> Result<u32> {
+        match addr {
+            RowAddress::B(k) => Ok(Self::B | u32::from(k)),
+            RowAddress::C(k) => Ok(Self::C | u32::from(k)),
+            RowAddress::D(index) => match u32::try_from(index) {
+                Ok(i) if i < Self::B => Ok(i),
+                _ => Err(AmbitError::DataRowOutOfRange { index, available: Self::B as usize }),
+            },
+        }
+    }
+
+    fn unpack(self) -> AmbitCmd {
+        let addr = |word: u32| {
+            let index = word & (Self::B - 1);
+            match word >> 30 {
+                0 => RowAddress::D(index as usize),
+                1 => RowAddress::B(index as u8),
+                _ => RowAddress::C(index as u8),
+            }
+        };
+        if self.1 == Self::NONE {
+            AmbitCmd::Ap(addr(self.0))
+        } else {
+            AmbitCmd::Aap(addr(self.0), addr(self.1))
+        }
+    }
 }
 
 /// One entry of the driver's bad-row map: a data row found permanently
@@ -162,16 +223,19 @@ pub struct AmbitMemory {
     /// compilation. Handles are never reused, and a chunk layout is
     /// immutable after allocation, so entries only go stale when a handle is
     /// freed ([`free`](AmbitMemory::free) evicts exactly the entries that
-    /// reference the freed handle). Lock-guarded rather than `RefCell` so
-    /// shared-reference planning stays safe across OS threads and
-    /// `AmbitMemory` is `Sync`.
-    plan_cache: Mutex<HashMap<BatchOp, Vec<ChunkProgram>>>,
+    /// reference the freed handle). Plans are shared slices, so a hit costs
+    /// a reference-count bump rather than a copy of every chunk's program.
+    /// Lock-guarded rather than `RefCell` so shared-reference planning
+    /// stays safe across OS threads and `AmbitMemory` is `Sync`.
+    plan_cache: Mutex<HashMap<BatchOp, Arc<[ChunkProgram]>>>,
     /// Cache hit/miss counts, mirrored into
     /// `ambit_driver_plan_cache_{hits,misses}` when telemetry is attached.
     /// Atomics (matching the telemetry crate's counters) so concurrent
     /// readers of a shared `&AmbitMemory` never race.
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
+    /// The chunk program being issued, unpacked; reused across chunks.
+    program_buf: Vec<AmbitCmd>,
 }
 
 /// Cached telemetry handles for the driver's per-operation view.
@@ -343,6 +407,7 @@ impl AmbitMemory {
             plan_cache: Mutex::new(HashMap::new()),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
+            program_buf: Vec::new(),
         }
     }
 
@@ -933,7 +998,7 @@ impl AmbitMemory {
         let waves = batch.waves()?;
         // Upfront validation and compilation: no command issues unless the
         // whole batch is well-formed.
-        let plans: Vec<Vec<ChunkProgram>> = batch
+        let plans: Vec<Arc<[ChunkProgram]>> = batch
             .ops
             .iter()
             .map(|entry| self.plan_op(entry))
@@ -943,7 +1008,9 @@ impl AmbitMemory {
             .map(|b| self.ctrl.timer().bank_busy_ps(b))
             .collect();
 
-        let mut per_op: Vec<Option<OpReceipt>> = vec![None; batch.len()];
+        // Every op sits in exactly one wave, so each placeholder below is
+        // overwritten.
+        let mut per_op = vec![self.noop_receipt(); batch.len()];
         for wave in &waves {
             let mut wave_end = 0u64;
             for &i in wave {
@@ -952,7 +1019,7 @@ impl AmbitMemory {
                     self.ctrl.timer_mut().advance_to(receipt.end_ps);
                 }
                 wave_end = wave_end.max(receipt.end_ps);
-                per_op[i] = Some(receipt);
+                per_op[i] = receipt;
             }
             // Wave barrier: dependent ops start only after every producer's
             // final precharge has completed.
@@ -964,10 +1031,6 @@ impl AmbitMemory {
             tr.service_arrived(self.ctrl.timer_mut())?;
         }
 
-        let per_op: Vec<OpReceipt> = per_op
-            .into_iter()
-            .map(|r| r.ok_or(AmbitError::EmptyAllocation))
-            .collect::<Result<_>>()?;
         let mut total = per_op[0];
         for receipt in &per_op[1..] {
             total.absorb(receipt);
@@ -1000,13 +1063,8 @@ impl AmbitMemory {
     ///
     /// Failed plans are not cached: an op that validated badly once is
     /// recompiled (and re-fails) on retry, so error reporting stays exact.
-    fn plan_op(&self, entry: &BatchOp) -> Result<Vec<ChunkProgram>> {
-        let cached = self
-            .plan_cache
-            .lock()
-            .expect("plan cache lock poisoned")
-            .get(entry)
-            .cloned();
+    fn plan_op(&self, entry: &BatchOp) -> Result<Arc<[ChunkProgram]>> {
+        let cached = self.plans().get(entry).cloned();
         if let Some(hit) = cached {
             self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
             if let Some(tel) = &self.telemetry {
@@ -1019,16 +1077,21 @@ impl AmbitMemory {
         // should not wait on it. A racing miss on the same shape just
         // compiles twice and last-insert wins — both compiles are
         // deterministic functions of immutable chunk layouts.
-        let chunks = self.plan_op_uncached(entry)?;
+        let chunks: Arc<[ChunkProgram]> = self.plan_op_uncached(entry)?.into();
         self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
         if let Some(tel) = &self.telemetry {
             tel.plan_cache_misses.inc();
         }
-        self.plan_cache
-            .lock()
-            .expect("plan cache lock poisoned")
-            .insert(entry.clone(), chunks.clone());
+        self.plans().insert(entry.clone(), Arc::clone(&chunks));
         Ok(chunks)
+    }
+
+    /// The plan cache. A panic while the lock was held cannot leave it
+    /// inconsistent (every update is one insert or one `retain`, and
+    /// entries are immutable), so a poisoned lock is recovered rather than
+    /// propagated: the cache is a pure memo of `plan_op_uncached`.
+    fn plans(&self) -> MutexGuard<'_, HashMap<BatchOp, Arc<[ChunkProgram]>>> {
+        self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Plan-cache hit and miss counts since construction (hits, misses).
@@ -1093,11 +1156,7 @@ impl AmbitMemory {
                         c2.map(|c| RowAddress::D(c.d_index)),
                         RowAddress::D(cd.d_index),
                     )?;
-                    chunks.push(ChunkProgram {
-                        bank: c1.bank,
-                        subarray: c1.subarray,
-                        program,
-                    });
+                    chunks.push(ChunkProgram::new(c1.bank, c1.subarray, &program)?);
                 }
                 Ok(chunks)
             }
@@ -1134,11 +1193,7 @@ impl AmbitMemory {
                         RowAddress::D(cc.d_index),
                         RowAddress::D(cd.d_index),
                     );
-                    chunks.push(ChunkProgram {
-                        bank: ca.bank,
-                        subarray: ca.subarray,
-                        program,
-                    });
+                    chunks.push(ChunkProgram::new(ca.bank, ca.subarray, &program)?);
                 }
                 Ok(chunks)
             }
@@ -1175,11 +1230,7 @@ impl AmbitMemory {
                         src_addrs.push(RowAddress::D(c.d_index));
                     }
                     let program = compile_fold(*op, &src_addrs, RowAddress::D(cd.d_index))?;
-                    chunks.push(ChunkProgram {
-                        bank: cd.bank,
-                        subarray: cd.subarray,
-                        program,
-                    });
+                    chunks.push(ChunkProgram::new(cd.bank, cd.subarray, &program)?);
                 }
                 Ok(chunks)
             }
@@ -1215,7 +1266,9 @@ impl AmbitMemory {
                 tr.service_arrived(self.ctrl.timer_mut())?;
             }
             self.ctrl.close_open_row(chunk.bank, chunk.subarray)?;
-            let receipt = self.ctrl.run_program(chunk.bank, chunk.subarray, &chunk.program)?;
+            self.program_buf.clear();
+            self.program_buf.extend(chunk.program.iter().map(|c| c.unpack()));
+            let receipt = self.ctrl.run_program(chunk.bank, chunk.subarray, &self.program_buf)?;
             match &mut total {
                 Some(t) => t.absorb(&receipt),
                 None => total = Some(receipt),
@@ -1356,10 +1409,7 @@ impl AmbitMemory {
     ///
     /// Returns an unknown-handle error if already freed.
     pub fn free(&mut self, handle: BitVectorHandle) -> Result<()> {
-        self.plan_cache
-            .lock()
-            .expect("plan cache lock poisoned")
-            .retain(|op, _| !op.involves(handle));
+        self.plans().retain(|op, _| !op.involves(handle));
         self.vectors
             .remove(&handle.0)
             .map(|_| ())
@@ -1768,6 +1818,66 @@ mod tests {
         mem.poke_bits(a, &vec![true; bits]).unwrap();
         mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
         assert_eq!(mem.plan_cache_stats().0, 3, "no hits after the eviction");
+    }
+
+    #[test]
+    fn packed_commands_round_trip() {
+        use RowAddress::{B, C, D};
+        let max_d = PackedCmd::B as usize - 1;
+        for cmd in [
+            AmbitCmd::Aap(D(0), B(0)),
+            AmbitCmd::Aap(C(1), D(max_d)),
+            AmbitCmd::Aap(B(15), B(12)),
+            AmbitCmd::Ap(B(14)),
+            AmbitCmd::Ap(D(7)),
+        ] {
+            assert_eq!(PackedCmd::pack(cmd).unwrap().unpack(), cmd);
+        }
+        assert_eq!(
+            PackedCmd::pack(AmbitCmd::Ap(D(max_d + 1))).unwrap_err(),
+            AmbitError::DataRowOutOfRange { index: max_d + 1, available: max_d + 1 }
+        );
+    }
+
+    #[test]
+    fn poisoned_plan_cache_lock_is_recovered() {
+        let mut mem = memory();
+        let bits = mem.row_bits();
+        let a = mem.alloc(bits).unwrap();
+        let b = mem.alloc(bits).unwrap();
+        let d = mem.alloc(bits).unwrap();
+        let e = mem.alloc(bits).unwrap();
+        mem.poke_bits(a, &vec![true; bits]).unwrap();
+        mem.poke_bits(b, &vec![false; bits]).unwrap();
+        mem.bitwise(BitwiseOp::And, a, Some(b), d).unwrap();
+
+        let shared = &mem;
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = shared.plan_cache.lock();
+                panic!("planner thread panicked while holding the plan cache");
+            })
+            .join()
+        });
+        assert!(outcome.is_err());
+        assert!(mem.plan_cache.is_poisoned());
+
+        // The eager path hits the cached plan, and a new shape misses.
+        mem.bitwise(BitwiseOp::And, a, Some(b), d).unwrap();
+        mem.bitwise(BitwiseOp::Or, a, Some(b), e).unwrap();
+        assert_eq!(mem.plan_cache_stats(), (1, 2));
+        assert_eq!(mem.popcount(d).unwrap(), 0);
+        assert_eq!(mem.popcount(e).unwrap(), bits);
+
+        let mut batch = BatchBuilder::new();
+        batch.bitwise(BitwiseOp::Not, b, None, d);
+        batch.bitwise(BitwiseOp::Xor, d, Some(a), e);
+        mem.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
+        assert_eq!(mem.popcount(d).unwrap(), bits);
+        assert_eq!(mem.popcount(e).unwrap(), 0);
+
+        mem.free(b).unwrap();
+        assert!(mem.bitwise(BitwiseOp::And, a, Some(b), d).is_err());
     }
 
     #[test]
