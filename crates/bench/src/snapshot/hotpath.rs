@@ -3,10 +3,15 @@
 //! word-parallel charge-share fast path against the forced bit-serial
 //! reference ([`ambit_dram::Subarray::set_scalar_reference`]), plus one
 //! fault-armed point (which must fall back to the scalar path for replay
-//! determinism) and the driver plan-cache hit rate.
+//! determinism) and the driver plan-cache hit rate. A `host_io` section
+//! gives the host data path in absolute terms: `write_bits` and `read_bits`
+//! GB/s at the same row widths, next to a host `memcpy` of the same bytes.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use ambit_core::{AmbitMemory, BitwiseOp};
-use ambit_dram::{BitRow, Subarray, Wordline};
+use ambit_dram::{AapMode, BitRow, DramGeometry, Subarray, TimingParams, Wordline};
 use ambit_telemetry::json::Json;
 
 use super::{is_true, Doc, Line, Mode, Row};
@@ -14,7 +19,7 @@ use crate::quick_mode;
 
 pub(super) const MODE: Mode = Mode {
     name: "hotpath",
-    schema: "ambit-bench-hotpath/v1",
+    schema: "ambit-bench-hotpath/v2",
     config: &["rows", "reps_tra"],
     rows: "sweep",
     fields: &[
@@ -44,6 +49,12 @@ const HOTPATH_OPS_FLOOR: f64 = 5_000.0;
 
 /// Required driver plan-cache hit rate for a repeated same-shape op loop.
 const PLAN_CACHE_HIT_RATE_FLOOR: f64 = 0.9;
+
+/// Row widths of the sweep and of the host data-path section.
+const ROW_BYTES: [usize; 3] = [1024, 4096, 8192];
+
+/// Numbers every `host_io` row must carry.
+const HOST_IO_FIELDS: [&str; 5] = ["row_bytes", "reps", "write_gbps", "read_gbps", "memcpy_gbps"];
 
 /// Deterministic pseudo-random row content (keeps the bench free of RNG
 /// state while still exercising data-dependent TRA outcomes).
@@ -160,6 +171,60 @@ fn measure_hotpath(row_bytes: usize, mix: &str, reps: u64, fault_rate: f64) -> L
         .put("identical", identical)
 }
 
+/// Fastest of `reps` timed calls of `f`, in host ns.
+fn best_ns(reps: u64, mut f: impl FnMut()) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos().max(1) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures the host data path at one row width: `write_bits` and
+/// `read_bits` of an 8-row vector through the DRAM protocol, and a host
+/// `memcpy` of the same bytes, each the fastest of `reps` warm passes, in
+/// GB/s of row data. Prints the point and returns its row.
+fn measure_host_io(row_bytes: usize, reps: u64) -> Line {
+    const VECTOR_ROWS: usize = 8;
+    let geometry = DramGeometry {
+        row_bytes,
+        ..DramGeometry::ddr3_module()
+    };
+    let mut mem = AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
+    let bits = VECTOR_ROWS * mem.row_bits();
+    let handle = mem.alloc(bits).expect("alloc");
+    let data = seeded_row(bits, 0, row_bytes);
+    let mut host = vec![false; bits];
+    data.unpack_bools(&mut host);
+    let bytes = (bits / 8) as f64;
+
+    let write_ns = best_ns(reps, || mem.write_bits(handle, &host).expect("write_bits"));
+    let mut back = Vec::new();
+    let read_ns = best_ns(reps, || back = mem.read_bits(handle).expect("read_bits"));
+    let round_trip = back == host;
+
+    let src = data.to_bytes();
+    let mut dst = vec![0u8; src.len()];
+    let memcpy_ns = best_ns(reps, || {
+        dst.copy_from_slice(black_box(&src));
+        black_box(&mut dst);
+    });
+
+    let (write_gbps, read_gbps, memcpy_gbps) = (bytes / write_ns, bytes / read_ns, bytes / memcpy_ns);
+    println!(
+        "  {row_bytes:>5}B host I/O: write_bits {write_gbps:>7.3} GB/s  read_bits {read_gbps:>7.3} GB/s  memcpy {memcpy_gbps:>8.2} GB/s  round trip {round_trip}"
+    );
+    Line::default()
+        .put("row_bytes", row_bytes)
+        .put("reps", reps)
+        .put("write_gbps", write_gbps)
+        .put("read_gbps", read_gbps)
+        .put("memcpy_gbps", memcpy_gbps)
+        .put("round_trip", round_trip)
+}
+
 /// Exercises the driver plan cache with a repeated same-shape query loop
 /// (the bitmap-index / BitWeaving access pattern) and returns (hits,
 /// misses).
@@ -182,7 +247,7 @@ fn run() -> Result<String, String> {
     let reps_cache: u64 = if quick_mode() { 16 } else { 64 };
     println!("hotpath sweep, {reps_tra} reps/point (8-row subarrays):");
     let mut rows = Vec::new();
-    for row_bytes in [1024usize, 4096, 8192] {
+    for row_bytes in ROW_BYTES {
         for mix in ["tra", "copy", "mixed"] {
             rows.push(measure_hotpath(row_bytes, mix, reps_tra, 0.0));
         }
@@ -192,6 +257,9 @@ fn run() -> Result<String, String> {
     rows.push(measure_hotpath(8192, "tra", reps_tra, 0.001));
     let (hits, misses) = measure_plan_cache(reps_cache);
     println!("  plan cache: {reps_cache} same-shape ops -> {hits} hits / {misses} misses");
+    let reps_io: u64 = if quick_mode() { 5 } else { 50 };
+    println!("host data path, best of {reps_io} passes over an 8-row vector:");
+    let host_io: Vec<Line> = ROW_BYTES.iter().map(|&b| measure_host_io(b, reps_io)).collect();
 
     let plan_cache = Line::default()
         .put("reps", reps_cache)
@@ -202,12 +270,17 @@ fn run() -> Result<String, String> {
         .put("rows", 8u32)
         .put("reps_tra", reps_tra)
         .put("quick", quick_mode());
-    Ok(Doc::new(MODE.schema, config).put("sweep", rows).put("plan_cache", plan_cache).to_string())
+    Ok(Doc::new(MODE.schema, config)
+        .put("sweep", rows)
+        .put("plan_cache", plan_cache)
+        .put("host_io", host_io)
+        .to_string())
 }
 
 /// Byte identity everywhere, the ≥[`TRA_SPEEDUP_FLOOR`] fast-path speedup
-/// and the [`HOTPATH_OPS_FLOOR`] absolute floor on fault-free 8 KB TRA, and
-/// the plan-cache hit rate.
+/// and the [`HOTPATH_OPS_FLOOR`] absolute floor on fault-free 8 KB TRA, the
+/// plan-cache hit rate, and a `host_io` row with every [`HOST_IO_FIELDS`]
+/// number and a clean round trip at each of [`ROW_BYTES`].
 fn gates(doc: &Json, rows: &[Row<'_>], errors: &mut Vec<String>) {
     let mut tra_8k_checked = false;
     for row in rows {
@@ -244,5 +317,24 @@ fn gates(doc: &Json, rows: &[Row<'_>], errors: &mut Vec<String>) {
             "plan cache hit rate {rate:.3} below the {PLAN_CACHE_HIT_RATE_FLOOR} floor"
         )),
         None => errors.push("plan_cache.hit_rate missing or not a number".into()),
+    }
+    let host_io = doc.get("host_io").and_then(Json::as_arr).unwrap_or_default();
+    for (i, row) in host_io.iter().enumerate() {
+        for key in HOST_IO_FIELDS {
+            if row.get(key).and_then(Json::as_f64).is_none() {
+                errors.push(format!("host_io[{i}]: {key} missing or not a number"));
+            }
+        }
+        if !is_true(row.get("round_trip")) {
+            errors.push(format!("host_io[{i}]: read_bits did not return what write_bits wrote"));
+        }
+    }
+    for bytes in ROW_BYTES {
+        if !host_io
+            .iter()
+            .any(|row| row.get("row_bytes").and_then(Json::as_u64) == Some(bytes as u64))
+        {
+            errors.push(format!("host_io has no {bytes}-byte row"));
+        }
     }
 }

@@ -268,6 +268,13 @@ mod tests {
             let errors = validate(&doc.to_string()).expect_err(name);
             assert!(errors.iter().any(|e| e.contains(want)), "{name}: {errors:?}");
         }
+        // The hotpath host data-path section is checked outside the sweep.
+        let mut doc = Json::parse(&committed("hotpath")).unwrap();
+        *at(&mut doc, &["host_io", "2", "write_gbps"]) = Json::Str("fast".into());
+        *at(&mut doc, &["host_io", "0", "round_trip"]) = Json::Bool(false);
+        let errors = validate(&doc.to_string()).unwrap_err();
+        assert!(errors.iter().any(|e| e.contains("host_io[2]: write_gbps missing")), "{errors:?}");
+        assert!(errors.iter().any(|e| e.contains("host_io[0]: read_bits did not")), "{errors:?}");
         let text = committed("batch").replace("ambit-bench-batch/v4", "ambit-bench-batch/v9");
         let errors = validate(&text).unwrap_err();
         assert!(errors[0].contains("unknown \"schema\""), "{errors:?}");

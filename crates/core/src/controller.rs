@@ -429,8 +429,18 @@ impl AmbitController {
     ///
     /// Returns an address error if `k` is out of the D-group.
     pub fn peek_data(&self, bank: BankId, subarray: usize, k: usize) -> Result<BitRow> {
+        self.peek_data_ref(bank, subarray, k).cloned()
+    }
+
+    /// Borrowing form of [`peek_data`](Self::peek_data): the row's contents
+    /// without a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns an address error if `k` is out of the D-group.
+    pub fn peek_data_ref(&self, bank: BankId, subarray: usize, k: usize) -> Result<&BitRow> {
         let row = self.layout.data_row(k)?;
-        Ok(self.device.bank(bank).subarray(subarray).peek_row(row))
+        Ok(self.device.bank(bank).subarray(subarray).peek_row_ref(row))
     }
 
     /// Ensures C0/C1 hold their constants in the given subarray (the

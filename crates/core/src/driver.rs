@@ -1294,6 +1294,10 @@ impl AmbitMemory {
 
     /// Writes host bits into the vector through the DRAM protocol (timed).
     ///
+    /// Each row-sized chunk is packed 64 bits per word and written with one
+    /// ACTIVATE, the row's column WRITE bursts and a PRECHARGE; the padding
+    /// past the vector's length in the last chunk is written as zeros.
+    ///
     /// # Errors
     ///
     /// Returns [`AmbitError::SizeMismatch`] if `bits.len()` differs from the
@@ -1331,44 +1335,63 @@ impl AmbitMemory {
     }
 
     /// Reads the vector's bits back to the host through the DRAM protocol
-    /// (timed).
+    /// (timed): one ACTIVATE, the row's column READ bursts and a PRECHARGE
+    /// per chunk, each row unpacked 64 bits per word.
     ///
     /// # Errors
     ///
     /// Returns an unknown-handle error for stale handles.
     pub fn read_bits(&mut self, handle: BitVectorHandle) -> Result<Vec<bool>> {
-        let meta = self.meta(handle)?.clone();
-        let mut out = Vec::with_capacity(meta.bits);
-        for chunk in &meta.chunks {
-            let row = self.ctrl.read_data(chunk.bank, chunk.subarray, chunk.d_index)?;
-            for i in 0..row.len() {
-                if out.len() == meta.bits {
-                    break;
-                }
-                out.push(row.get(i));
-            }
+        // Borrow the metadata and the controller as disjoint fields, so the
+        // chunk list is not cloned per call.
+        let meta = Self::meta_in(&self.vectors, handle)?;
+        let mut out = vec![false; meta.bits];
+        for (chunk, dst) in meta.chunks.iter().zip(out.chunks_mut(self.ctrl.row_bits())) {
+            self.ctrl
+                .read_data(chunk.bank, chunk.subarray, chunk.d_index)?
+                .unpack_bools(dst);
         }
         Ok(out)
     }
 
-    /// Backdoor read (no protocol, no timing).
+    /// Backdoor read (no protocol, no timing): each chunk's stored row is
+    /// borrowed in place and unpacked 64 bits per word.
     ///
     /// # Errors
     ///
     /// Returns an unknown-handle error for stale handles.
     pub fn peek_bits(&self, handle: BitVectorHandle) -> Result<Vec<bool>> {
         let meta = self.meta(handle)?;
-        let mut out = Vec::with_capacity(meta.bits);
-        for chunk in &meta.chunks {
-            let row = self.ctrl.peek_data(chunk.bank, chunk.subarray, chunk.d_index)?;
-            for i in 0..row.len() {
-                if out.len() == meta.bits {
-                    break;
-                }
-                out.push(row.get(i));
-            }
+        let mut out = vec![false; meta.bits];
+        for (chunk, dst) in meta.chunks.iter().zip(out.chunks_mut(self.row_bits())) {
+            self.ctrl
+                .peek_data_ref(chunk.bank, chunk.subarray, chunk.d_index)?
+                .unpack_bools(dst);
         }
         Ok(out)
+    }
+
+    /// Backdoor read of one bit (no protocol, no timing), from the stored
+    /// row of the chunk that holds it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AmbitError::SizeMismatch`] if `bit` is out of range, or an
+    /// unknown-handle error.
+    pub fn peek_bit(&self, handle: BitVectorHandle, bit: usize) -> Result<bool> {
+        let meta = self.meta(handle)?;
+        if bit >= meta.bits {
+            return Err(AmbitError::SizeMismatch {
+                left_bits: bit,
+                right_bits: meta.bits,
+            });
+        }
+        let row_bits = self.row_bits();
+        let chunk = meta.chunks[bit / row_bits];
+        Ok(self
+            .ctrl
+            .peek_data_ref(chunk.bank, chunk.subarray, chunk.d_index)?
+            .get(bit % row_bits))
     }
 
     /// Population count of the vector, masking any padding in the final
@@ -1383,13 +1406,8 @@ impl AmbitMemory {
         let row_bits = self.row_bits();
         let mut count = 0;
         for (i, chunk) in meta.chunks.iter().enumerate() {
-            let row = self.ctrl.peek_data(chunk.bank, chunk.subarray, chunk.d_index)?;
-            let valid = (meta.bits - i * row_bits).min(row_bits);
-            if valid == row_bits {
-                count += row.count_ones();
-            } else {
-                count += (0..valid).filter(|&b| row.get(b)).count();
-            }
+            let row = self.ctrl.peek_data_ref(chunk.bank, chunk.subarray, chunk.d_index)?;
+            count += row.count_ones_below((meta.bits - i * row_bits).min(row_bits));
         }
         Ok(count)
     }
@@ -1417,7 +1435,14 @@ impl AmbitMemory {
     }
 
     fn meta(&self, handle: BitVectorHandle) -> Result<&VectorMeta> {
-        self.vectors
+        Self::meta_in(&self.vectors, handle)
+    }
+
+    fn meta_in(
+        vectors: &HashMap<u64, VectorMeta>,
+        handle: BitVectorHandle,
+    ) -> Result<&VectorMeta> {
+        vectors
             .get(&handle.0)
             .ok_or(AmbitError::UnknownHandle { id: handle.0 })
     }
@@ -1428,18 +1453,16 @@ impl AmbitMemory {
         bits: &[bool],
         backdoor: bool,
     ) -> Result<()> {
-        let meta = self.meta(handle)?.clone();
+        let meta = Self::meta_in(&self.vectors, handle)?;
         if bits.len() != meta.bits {
             return Err(AmbitError::SizeMismatch {
                 left_bits: bits.len(),
                 right_bits: meta.bits,
             });
         }
-        let row_bits = self.row_bits();
-        for (i, chunk) in meta.chunks.iter().enumerate() {
-            let lo = i * row_bits;
-            let hi = (lo + row_bits).min(bits.len());
-            let row = BitRow::from_fn(row_bits, |b| lo + b < hi && bits[lo + b]);
+        let row_bits = self.ctrl.row_bits();
+        for (chunk, src) in meta.chunks.iter().zip(bits.chunks(row_bits)) {
+            let row = BitRow::from_bools(row_bits, src);
             if backdoor {
                 self.ctrl.poke_data(chunk.bank, chunk.subarray, chunk.d_index, &row)?;
             } else {
@@ -1593,6 +1616,61 @@ mod tests {
         mem.bitwise(BitwiseOp::Not, h, None, out).unwrap();
         assert_eq!(mem.popcount(out).unwrap(), 0);
         assert_eq!(mem.popcount(h).unwrap(), bits);
+    }
+
+    #[test]
+    fn popcount_of_a_not_counts_the_logical_length_only() {
+        let mut mem = memory();
+        let row = mem.row_bits();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for bits in [row + 1, 2 * row + 37, 3 * row - 1] {
+            let h = mem.alloc(bits).unwrap();
+            let out = mem.alloc(bits).unwrap();
+            let data: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
+            mem.write_bits(h, &data).unwrap();
+            mem.bitwise(BitwiseOp::Not, h, None, out).unwrap();
+            // The NOT set every padding bit of the last chunk's row.
+            let last = *mem.meta(out).unwrap().chunks.last().unwrap();
+            let stored = mem.ctrl.peek_data(last.bank, last.subarray, last.d_index).unwrap();
+            assert!((bits % row..row).all(|i| stored.get(i)), "padding set, bits {bits}");
+            let ones = data.iter().filter(|&&b| b).count();
+            assert_eq!(mem.popcount(out).unwrap(), bits - ones, "bits {bits}");
+            assert_eq!(mem.popcount(h).unwrap(), ones, "bits {bits}");
+        }
+    }
+
+    #[test]
+    fn host_bits_round_trip_across_chunks_with_a_partial_tail() {
+        let mut mem = memory();
+        let row = mem.row_bits();
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        for bits in [1, 63, row, row + 1, 2 * row + 63, 2 * row + 64, 3 * row - 5] {
+            let (h, p) = (mem.alloc(bits).unwrap(), mem.alloc(bits).unwrap());
+            let data: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
+            mem.write_bits(h, &data).unwrap();
+            mem.poke_bits(p, &data).unwrap();
+            assert_eq!(mem.read_bits(h).unwrap(), data, "read_bits, bits {bits}");
+            assert_eq!(mem.peek_bits(h).unwrap(), data, "peek_bits, bits {bits}");
+            assert_eq!(mem.read_bits(p).unwrap(), data, "poked, bits {bits}");
+            for i in [0, bits / 2, bits - 1] {
+                assert_eq!(mem.peek_bit(h, i).unwrap(), data[i], "bit {i} of {bits}");
+            }
+            // Both writes leave the padding past the length zero.
+            for handle in [h, p] {
+                let meta = mem.meta(handle).unwrap();
+                assert_eq!(meta.chunks.len(), bits.div_ceil(row));
+                let last = *meta.chunks.last().unwrap();
+                let stored = mem.ctrl.peek_data(last.bank, last.subarray, last.d_index).unwrap();
+                let valid = bits - (meta.chunks.len() - 1) * row;
+                assert_eq!(stored.count_ones(), stored.count_ones_below(valid));
+            }
+        }
+        let mut mem = memory();
+        let h = mem.alloc(10).unwrap();
+        assert_eq!(
+            mem.peek_bit(h, 10).unwrap_err(),
+            AmbitError::SizeMismatch { left_bits: 10, right_bits: 10 }
+        );
     }
 
     #[test]

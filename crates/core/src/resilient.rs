@@ -871,10 +871,10 @@ impl ResilientExecutor {
     fn remap_faulty_bit(&mut self, tmr: TmrVector, bit: usize) -> Result<bool> {
         let replicas = tmr.replicas();
         for _ in 0..self.cfg.max_remap_attempts {
-            let values: Vec<bool> = replicas
-                .iter()
-                .map(|&r| Ok(self.mem.peek_bits(r)?[bit]))
-                .collect::<Result<_>>()?;
+            let mut values = [false; 3];
+            for (value, &r) in values.iter_mut().zip(&replicas) {
+                *value = self.mem.peek_bit(r, bit)?;
+            }
             let voted = values.iter().filter(|&&v| v).count() >= 2;
             let Some(faulty) = (0..3).find(|&i| values[i] != voted) else {
                 return Ok(true); // a spare took the write; bit is clean
@@ -1060,6 +1060,48 @@ mod tests {
         // After the remap the fault is gone for good.
         let r2 = exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
         assert_eq!(r2.remaps, 0);
+        assert_eq!(exec.read(out).unwrap(), expected(BitwiseOp::And, &da, &db));
+    }
+
+    #[test]
+    fn several_stuck_bits_in_one_vector_are_each_remapped() {
+        let mut mem = memory();
+        mem.reserve_spare_rows(2).unwrap();
+        let mut exec = ResilientExecutor::new(mem, ResilientConfig::default());
+        let row = exec.memory().row_bits();
+        let bits = 2 * row; // one chunk per bank
+        let (a, b, out) = (
+            exec.alloc(bits).unwrap(),
+            exec.alloc(bits).unwrap(),
+            exec.alloc(bits).unwrap(),
+        );
+        let da = vec![true; bits];
+        let db = pattern(bits, 2);
+        exec.write(a, &da).unwrap();
+        exec.write(b, &db).unwrap();
+        // AND(1..., 101010...) is 0 at every odd bit. Stick odd bits of two
+        // replicas at 1: two in replica 0's first chunk, one in replica 2's
+        // second chunk. No bit is stuck in two replicas, so each still
+        // votes correctly, and no row needs two remaps.
+        let replicas = exec.vectors.get(&out.0).unwrap().tmr.replicas();
+        let stuck = [(0, 1), (0, 5), (2, row + 3)];
+        for &(replica, bit) in &stuck {
+            exec.memory_mut()
+                .inject_fault(replicas[replica], bit, CellFault::StuckAtOne)
+                .unwrap();
+        }
+        let report = exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
+        // The two stuck bits of replica 0 share a row: the first remap
+        // moves the whole row to a spare and clears both.
+        assert_eq!(report.remaps, 2, "{report:?}");
+        assert!(!report.degraded);
+        assert_eq!(exec.memory().bad_rows().len(), 2);
+        assert_eq!(exec.read(out).unwrap(), expected(BitwiseOp::And, &da, &db));
+        for &(replica, bit) in &stuck {
+            assert!(!exec.memory().peek_bit(replicas[replica], bit).unwrap());
+        }
+        let again = exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
+        assert_eq!((again.remaps, again.scrubs), (0, 0));
         assert_eq!(exec.read(out).unwrap(), expected(BitwiseOp::And, &da, &db));
     }
 

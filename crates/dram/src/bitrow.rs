@@ -74,6 +74,44 @@ impl BitRow {
         row
     }
 
+    /// Packs host booleans into a row of `len` bits, 64 per word: bit `i`
+    /// is `bits[i]`, and every bit from `bits.len()` on is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is longer than `len`.
+    pub fn from_bools(len: usize, bits: &[bool]) -> Self {
+        assert!(
+            bits.len() <= len,
+            "from_bools: {} bools exceed row of {} bits",
+            bits.len(),
+            len
+        );
+        let mut row = BitRow::zeros(len);
+        for (word, chunk) in row.words.iter_mut().zip(bits.chunks(WORD_BITS)) {
+            *word = pack_word(chunk);
+        }
+        row
+    }
+
+    /// Unpacks the first `out.len()` bits of the row into host booleans,
+    /// 64 per word (the inverse of [`from_bools`](BitRow::from_bools)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is longer than the row.
+    pub fn unpack_bools(&self, out: &mut [bool]) {
+        assert!(
+            out.len() <= self.len,
+            "unpack_bools: {} bools exceed row of {} bits",
+            out.len(),
+            self.len
+        );
+        for (&word, chunk) in self.words.iter().zip(out.chunks_mut(WORD_BITS)) {
+            unpack_word(word, chunk);
+        }
+    }
+
     /// Creates a row from the low bits of the given words.
     ///
     /// # Panics
@@ -147,6 +185,24 @@ impl BitRow {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of set bits among the first `n` (a word-wise count with the
+    /// partial last word masked).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len`.
+    pub fn count_ones_below(&self, n: usize) -> usize {
+        assert!(n <= self.len, "count_ones_below: {} exceeds row of {} bits", n, self.len);
+        let full = n / WORD_BITS;
+        let head: usize = self.words[..full].iter().map(|w| w.count_ones() as usize).sum();
+        let rem = n % WORD_BITS;
+        if rem == 0 {
+            head
+        } else {
+            head + (self.words[full] & ((1u64 << rem) - 1)).count_ones() as usize
+        }
     }
 
     /// Bitwise NOT of the row (within `len` bits).
@@ -307,12 +363,22 @@ impl BitRow {
             bit_offset + bytes.len() * 8,
             self.len
         );
-        for (k, &byte) in bytes.iter().enumerate() {
-            let bit = bit_offset + k * 8;
-            let word = bit / WORD_BITS;
-            let shift = bit % WORD_BITS;
-            self.words[word] &= !(0xffu64 << shift);
-            self.words[word] |= (byte as u64) << shift;
+        // Bytes up to the next word boundary one at a time, then whole
+        // words, then the trailing bytes of a partial last word.
+        let head = ((WORD_BITS - bit_offset % WORD_BITS) % WORD_BITS / 8).min(bytes.len());
+        let (head_bytes, rest) = bytes.split_at(head);
+        for (k, &byte) in head_bytes.iter().enumerate() {
+            self.set_byte(bit_offset + k * 8, byte);
+        }
+        let first_word = (bit_offset + head * 8) / WORD_BITS;
+        let mut chunks = rest.chunks_exact(8);
+        for (word, chunk) in self.words[first_word..].iter_mut().zip(chunks.by_ref()) {
+            *word = u64::from_le_bytes(chunk.try_into().expect("chunk of 8 bytes"));
+        }
+        let tail = chunks.remainder();
+        let tail_bit = (first_word + (rest.len() - tail.len()) / 8) * WORD_BITS;
+        for (k, &byte) in tail.iter().enumerate() {
+            self.set_byte(tail_bit + k * 8, byte);
         }
         self.mask_tail();
     }
@@ -333,9 +399,20 @@ impl BitRow {
             bit_offset + out.len() * 8,
             self.len
         );
-        for (k, byte) in out.iter_mut().enumerate() {
-            let bit = bit_offset + k * 8;
-            *byte = (self.words[bit / WORD_BITS] >> (bit % WORD_BITS)) as u8;
+        let head = ((WORD_BITS - bit_offset % WORD_BITS) % WORD_BITS / 8).min(out.len());
+        let (head_bytes, rest) = out.split_at_mut(head);
+        for (k, byte) in head_bytes.iter_mut().enumerate() {
+            *byte = self.byte_at(bit_offset + k * 8);
+        }
+        let first_word = (bit_offset + head * 8) / WORD_BITS;
+        let whole = rest.len() / 8;
+        let (body, tail) = rest.split_at_mut(whole * 8);
+        for (chunk, word) in body.chunks_exact_mut(8).zip(&self.words[first_word..]) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        let tail_bit = (first_word + whole) * WORD_BITS;
+        for (k, byte) in tail.iter_mut().enumerate() {
+            *byte = self.byte_at(tail_bit + k * 8);
         }
     }
 
@@ -369,6 +446,18 @@ impl BitRow {
         }
     }
 
+    /// Overwrites the byte at byte-aligned bit offset `bit`.
+    fn set_byte(&mut self, bit: usize, byte: u8) {
+        let (word, shift) = (bit / WORD_BITS, bit % WORD_BITS);
+        self.words[word] &= !(0xffu64 << shift);
+        self.words[word] |= u64::from(byte) << shift;
+    }
+
+    /// The byte at byte-aligned bit offset `bit`.
+    fn byte_at(&self, bit: usize) -> u8 {
+        (self.words[bit / WORD_BITS] >> (bit % WORD_BITS)) as u8
+    }
+
     fn mask_tail(&mut self) {
         let rem = self.len % WORD_BITS;
         if rem != 0 {
@@ -376,6 +465,22 @@ impl BitRow {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+/// Packs up to 64 booleans into one word, bit `j` = `bits[j]`.
+fn pack_word(bits: &[bool]) -> u64 {
+    let mut word = 0;
+    for (j, &bit) in bits.iter().enumerate() {
+        word |= u64::from(bit) << j;
+    }
+    word
+}
+
+/// Unpacks the low `out.len()` (at most 64) bits of `word` into `out`.
+fn unpack_word(word: u64, out: &mut [bool]) {
+    for (j, bit) in out.iter_mut().enumerate() {
+        *bit = (word >> j) & 1 == 1;
     }
 }
 

@@ -25,6 +25,7 @@
 //! refreshing, operands immediately before each TRA).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ambit_telemetry::Counter;
 
@@ -192,7 +193,10 @@ enum State {
 
 /// Functional model of one DRAM subarray.
 ///
-/// Row storage is sparse: rows never written hold all-zero cells. The model
+/// All per-row state is allocated lazily, so a large geometry costs little
+/// until it is used: rows never written hold all-zero cells and take no
+/// storage, and a subarray that was never written, remapped or armed with
+/// a retention window holds no per-row vectors at all. The model
 /// is purely functional (no timing); timing and energy are accounted by
 /// [`CommandTimer`](crate::controller::CommandTimer) and
 /// [`EnergyModel`](crate::energy::EnergyModel) at the controller level.
@@ -222,24 +226,24 @@ enum State {
 pub struct Subarray {
     rows: usize,
     bits: usize,
-    /// Dense physical-row-indexed storage; `None` means the row was never
-    /// written and holds all-zero cells. Row payloads are still allocated
-    /// lazily, so huge geometries stay cheap to instantiate.
+    /// Physical-row-indexed storage: empty until the first write, then one
+    /// slot per row, where `None` means the row was never written and holds
+    /// all-zero cells. Row payloads are allocated on their first write.
     storage: Vec<Option<BitRow>>,
     state: State,
     tie_break: TieBreak,
     tie_rng: u64,
     retention_ns: Option<u64>,
-    /// Last refresh timestamp per physical row. Only maintained while a
-    /// retention window is armed; arming stamps every row (see
-    /// [`set_retention_window`](Subarray::set_retention_window)).
+    /// Last refresh timestamp per physical row. Allocated only while a
+    /// retention window is armed (empty otherwise); arming stamps every row
+    /// (see [`set_retention_window`](Subarray::set_retention_window)).
     last_refresh_ns: Vec<u64>,
     now_ns: u64,
     stats: SubarrayStats,
     /// Stuck-at cell faults, keyed by (physical row, bit).
     faults: HashMap<(usize, usize), CellFault>,
-    /// Row remapping (logical → physical) installed by post-test repair;
-    /// identity unless a spare-row remap was installed.
+    /// Row remapping (logical → physical) installed by post-test repair.
+    /// Empty means identity; the first spare-row remap fills it.
     row_map: Vec<usize>,
     /// Per-bitline transient TRA failure probability (from the circuit
     /// model's Monte Carlo), in units of 2^-64.
@@ -248,8 +252,9 @@ pub struct Subarray {
     /// reference path even if the word-parallel fast path would apply.
     force_scalar: bool,
     /// Shared all-zero row standing in for never-written storage slots on
-    /// the fast path (avoids materializing a row per activation).
-    zeros: BitRow,
+    /// the fast path (avoids materializing a row per activation). Built on
+    /// the first read of a never-written row.
+    zeros: OnceLock<BitRow>,
     /// Optional telemetry counters for the fast/slow charge-share split.
     word_parallel_counter: Option<Counter>,
     scalar_counter: Option<Counter>,
@@ -262,19 +267,19 @@ impl Subarray {
         Subarray {
             rows,
             bits,
-            storage: vec![None; rows],
+            storage: Vec::new(),
             state: State::Precharged,
             tie_break: TieBreak::default(),
             tie_rng: 0x9e37_79b9_7f4a_7c15,
             retention_ns: None,
-            last_refresh_ns: vec![0; rows],
+            last_refresh_ns: Vec::new(),
             now_ns: 0,
             stats: SubarrayStats::default(),
             faults: HashMap::new(),
-            row_map: (0..rows).collect(),
+            row_map: Vec::new(),
             tra_fault_threshold: 0,
             force_scalar: false,
-            zeros: BitRow::zeros(bits),
+            zeros: OnceLock::new(),
             word_parallel_counter: None,
             scalar_counter: None,
         }
@@ -308,15 +313,17 @@ impl Subarray {
     /// Enables strict retention checking: charge-sharing activations on rows
     /// older than `window_ns` fail with [`DramError::RetentionViolation`].
     ///
-    /// Refresh timestamps are only maintained while a window is armed (the
-    /// disarmed hot path skips the bookkeeping entirely), so arming acts as
-    /// a refresh boundary: every row is stamped as freshly refreshed at the
-    /// moment the window is installed.
+    /// Refresh timestamps exist only while a window is armed (the disarmed
+    /// hot path skips the bookkeeping entirely, and disarming frees them),
+    /// so arming acts as a refresh boundary: every row is stamped as freshly
+    /// refreshed at the moment the window is installed.
     pub fn set_retention_window(&mut self, window_ns: Option<u64>) {
         let arming = window_ns.is_some() && self.retention_ns.is_none();
         self.retention_ns = window_ns;
         if arming {
-            self.last_refresh_ns.fill(self.now_ns);
+            self.last_refresh_ns = vec![self.now_ns; self.rows];
+        } else if window_ns.is_none() {
+            self.last_refresh_ns = Vec::new();
         }
     }
 
@@ -361,8 +368,8 @@ impl Subarray {
         }
         self.faults.insert((row, bit), fault);
         // The fault takes effect immediately on the stored value.
-        let data = self.peek_physical(row);
-        self.storage[row] = Some(self.apply_faults(row, data));
+        let data = self.apply_faults(row, self.row_ref(row).clone());
+        *self.slot_mut(row) = Some(data);
         Ok(())
     }
 
@@ -386,6 +393,9 @@ impl Subarray {
                     rows: self.rows,
                 });
             }
+        }
+        if self.row_map.is_empty() {
+            self.row_map = (0..self.rows).collect();
         }
         self.row_map[from] = to;
         Ok(())
@@ -440,7 +450,7 @@ impl Subarray {
     }
 
     fn resolve(&self, row: usize) -> usize {
-        self.row_map[row]
+        self.row_map.get(row).copied().unwrap_or(row)
     }
 
     fn apply_faults(&self, physical_row: usize, mut data: BitRow) -> BitRow {
@@ -462,17 +472,22 @@ impl Subarray {
         data
     }
 
-    fn peek_physical(&self, row: usize) -> BitRow {
-        self.storage[row]
-            .clone()
-            .unwrap_or_else(|| BitRow::zeros(self.bits))
+    /// Borrowing read of a physical row, with never-written rows resolving
+    /// to the shared all-zero row.
+    fn row_ref(&self, physical_row: usize) -> &BitRow {
+        match self.storage.get(physical_row) {
+            Some(Some(row)) => row,
+            _ => self.zeros.get_or_init(|| BitRow::zeros(self.bits)),
+        }
     }
 
-    /// Borrowing read of a physical row, with never-written rows resolving
-    /// to the shared all-zero row (the allocation-free fast-path sibling of
-    /// [`peek_physical`](Subarray::peek_physical)).
-    fn row_ref(&self, physical_row: usize) -> &BitRow {
-        self.storage[physical_row].as_ref().unwrap_or(&self.zeros)
+    /// The storage slot of a physical row, allocating the slot vector on
+    /// the subarray's first write.
+    fn slot_mut(&mut self, physical_row: usize) -> &mut Option<BitRow> {
+        if self.storage.is_empty() {
+            self.storage.resize_with(self.rows, || None);
+        }
+        &mut self.storage[physical_row]
     }
 
     /// Advances the subarray's notion of time (used for retention checks).
@@ -495,8 +510,18 @@ impl Subarray {
     /// Intended for test setup and for the driver's bulk initialization
     /// path; regular accesses should go through activate/read/precharge.
     pub fn peek_row(&self, row: usize) -> BitRow {
+        self.peek_row_ref(row).clone()
+    }
+
+    /// Borrowing form of [`peek_row`](Subarray::peek_row): the row's cell
+    /// contents without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn peek_row_ref(&self, row: usize) -> &BitRow {
         assert!(row < self.rows, "row {} out of range {}", row, self.rows);
-        self.peek_physical(self.resolve(row))
+        self.row_ref(self.resolve(row))
     }
 
     /// Directly overwrites a row's cell contents, bypassing the protocol.
@@ -512,7 +537,7 @@ impl Subarray {
             self.last_refresh_ns[row] = self.now_ns;
         }
         let data = self.apply_faults(row, data);
-        self.storage[row] = Some(data);
+        *self.slot_mut(row) = Some(data);
     }
 
     /// Issues an ACTIVATE raising the given wordlines simultaneously.
@@ -707,9 +732,9 @@ impl Subarray {
             // Common case: single-row activation senses the row directly
             // (negated through an n-wordline).
             let wl = wordlines[0];
-            let data = self.peek_row(wl.row);
+            let data = self.peek_row_ref(wl.row);
             return Ok(match wl.side {
-                BitlineSide::Bitline => data,
+                BitlineSide::Bitline => data.clone(),
                 BitlineSide::BitlineBar => data.not(),
             });
         }
@@ -810,7 +835,7 @@ impl Subarray {
             if retention_armed {
                 self.last_refresh_ns[row] = self.now_ns;
             }
-            match &mut self.storage[row] {
+            match self.slot_mut(row) {
                 Some(value) => {
                     value.copy_from(sense);
                     if wl.side == BitlineSide::BitlineBar {
@@ -1153,5 +1178,115 @@ mod tests {
         assert_eq!(s.triple_row_activations, 1);
         assert_eq!(s.multi_row_activations, 1);
         assert_eq!(s.precharges, 2);
+    }
+
+    /// The per-row vectors a subarray allocates lazily, as
+    /// (storage, row map, refresh stamps, zero row) presence flags.
+    fn allocated(sa: &Subarray) -> (bool, bool, bool, bool) {
+        (
+            !sa.storage.is_empty(),
+            !sa.row_map.is_empty(),
+            !sa.last_refresh_ns.is_empty(),
+            sa.zeros.get().is_some(),
+        )
+    }
+
+    #[test]
+    fn never_written_subarray_reads_zeros_without_allocating_rows() {
+        let mut sa = Subarray::new(16, 128);
+        assert_eq!(allocated(&sa), (false, false, false, false));
+        assert_eq!(sa.peek_row(5), BitRow::zeros(128));
+        assert_eq!(sa.peek_row_ref(15), &BitRow::zeros(128));
+        // A read builds the shared zero row and nothing else.
+        assert_eq!(allocated(&sa), (false, false, false, true));
+        assert_eq!(sa.activate(&[Wordline::data(5)]).unwrap(), &BitRow::zeros(128));
+        sa.precharge().unwrap();
+        let tra = [Wordline::data(0), Wordline::data(1), Wordline::negated(2)];
+        assert_eq!(sa.activate(&tra).unwrap(), &BitRow::zeros(128));
+        sa.precharge().unwrap();
+        assert_eq!(sa.peek_row(2), BitRow::ones(128), "restore through the n-wordline");
+        assert_eq!(sa.peek_row(3), BitRow::zeros(128));
+        // The restores were the first writes.
+        assert_eq!(allocated(&sa), (true, false, false, true));
+    }
+
+    #[test]
+    fn remap_works_on_an_untouched_subarray() {
+        let mut sa = Subarray::new(16, 64);
+        sa.remap_row(2, 9).unwrap();
+        assert_eq!(allocated(&sa), (false, true, false, false));
+        assert_eq!((sa.resolved_row(2), sa.resolved_row(3)), (9, 3));
+        let data = filled(64, 21);
+        sa.poke_row(2, data.clone());
+        assert_eq!(sa.peek_row(2), data);
+        assert_eq!(sa.peek_row(9), data, "logical row 2 lives in physical row 9");
+        assert_eq!(sa.peek_row(3), BitRow::zeros(64));
+        // Reads and activations follow the map.
+        assert_eq!(sa.activate(&[Wordline::data(2)]).unwrap(), &data);
+        sa.precharge().unwrap();
+    }
+
+    #[test]
+    fn retention_arm_disarm_rearm_stamps_rows_at_each_arming() {
+        let mut sa = Subarray::new(8, 64);
+        let tra = [Wordline::data(0), Wordline::data(1), Wordline::data(2)];
+        sa.set_retention_window(Some(100));
+        assert_eq!(sa.last_refresh_ns, vec![0; 8]);
+        sa.advance_time_ns(150);
+        sa.poke_row(0, filled(64, 1)); // stamps row 0 only
+        assert!(matches!(
+            sa.activate(&tra),
+            Err(DramError::RetentionViolation { row: 1, elapsed_ns: 150, retention_ns: 100 })
+        ));
+        // Disarmed: no stamps kept and no checks made.
+        sa.set_retention_window(None);
+        assert!(sa.last_refresh_ns.is_empty());
+        sa.activate(&tra).unwrap();
+        sa.precharge().unwrap();
+        sa.advance_time_ns(50);
+        // Re-arming is a refresh boundary at t = 200.
+        sa.set_retention_window(Some(100));
+        assert_eq!(sa.last_refresh_ns, vec![200; 8]);
+        // Changing an armed window keeps the stamps.
+        sa.set_retention_window(Some(120));
+        assert_eq!(sa.last_refresh_ns, vec![200; 8]);
+        sa.advance_time_ns(50);
+        sa.activate(&tra).unwrap(); // elapsed 50: fresh; restore stamps 250
+        sa.precharge().unwrap();
+        assert_eq!(sa.last_refresh_ns[..4], [250, 250, 250, 200]);
+        sa.advance_time_ns(121);
+        assert!(matches!(
+            sa.activate(&tra),
+            Err(DramError::RetentionViolation { elapsed_ns: 121, .. })
+        ));
+    }
+
+    #[test]
+    fn fault_injection_works_on_an_untouched_row() {
+        let mut sa = Subarray::new(8, 64);
+        sa.inject_fault(5, 7, CellFault::StuckAtOne).unwrap();
+        assert_eq!(sa.peek_row(5), BitRow::from_fn(64, |i| i == 7));
+        assert_eq!(sa.peek_row(4), BitRow::zeros(64));
+        sa.poke_row(5, BitRow::zeros(64));
+        assert!(sa.peek_row(5).get(7), "the stuck cell survives a write");
+    }
+
+    #[test]
+    fn lazy_subarray_clones_correctly() {
+        let untouched = Subarray::new(8, 64);
+        let mut copy = untouched.clone();
+        copy.poke_row(1, filled(64, 3));
+        assert_eq!(untouched.peek_row(1), BitRow::zeros(64));
+        assert_eq!(allocated(&untouched), (false, false, false, true));
+        assert_eq!(copy.peek_row(1), filled(64, 3));
+
+        let mut written = Subarray::new(8, 64);
+        written.poke_row(6, filled(64, 4));
+        written.remap_row(0, 7).unwrap();
+        let mut twin = written.clone();
+        twin.poke_row(0, filled(64, 5));
+        assert_eq!(twin.peek_row(6), filled(64, 4));
+        assert_eq!(twin.peek_row(7), filled(64, 5), "the clone keeps the remap");
+        assert_eq!(written.peek_row(0), BitRow::zeros(64));
     }
 }

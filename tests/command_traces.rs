@@ -3,8 +3,8 @@
 //! analyzer on the DDR bus would see them.
 
 use ambit_conformance::TraceChecker;
-use ambit_repro::core::{AmbitController, BitwiseOp, RowAddress};
-use ambit_repro::dram::{AapMode, BankId, DramGeometry, TimingParams, TraceCommand};
+use ambit_repro::core::{AmbitController, AmbitMemory, BitwiseOp, RowAddress};
+use ambit_repro::dram::{AapMode, BankId, DramGeometry, TimerStats, TimingParams, TraceCommand};
 
 fn traced_controller() -> AmbitController {
     let mut ctrl = AmbitController::new(
@@ -133,3 +133,59 @@ fn trace_timing_matches_receipt() {
     assert_eq!(last_pre.at_ps + 10_000, receipt.end_ps);
     assert_trace_clean(&ctrl);
 }
+
+/// A host write and read through the DRAM protocol: three 256-byte chunks
+/// (the last one partial), four column bursts per row. The command counts,
+/// the issue time of every command, the column accesses the subarrays saw
+/// and the receipt of a following op are pinned, so a change to how host
+/// data is packed cannot move simulated time.
+#[test]
+fn host_write_and_read_trace_is_clean_with_pinned_timing() {
+    let geometry = DramGeometry {
+        row_bytes: 256,
+        ..DramGeometry::tiny()
+    };
+    let mut mem = AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
+    mem.controller_mut().timer_mut().set_tracing(true);
+    let bits = 2 * mem.row_bits() + 37;
+    let (a, b, out) = (
+        mem.alloc(bits).unwrap(),
+        mem.alloc(bits).unwrap(),
+        mem.alloc(bits).unwrap(),
+    );
+    let data: Vec<bool> = (0..bits).map(|i| i % 3 == 0 || i % 7 == 1).collect();
+    mem.write_bits(a, &data).unwrap();
+    let after_write = mem.now_ps();
+    assert_eq!(mem.read_bits(a).unwrap(), data);
+    let after_read = mem.now_ps();
+
+    assert_trace_clean(mem.controller());
+    let issue_ps: Vec<u64> = mem.controller().timer().trace().unwrap().iter().map(|e| e.at_ps).collect();
+    assert_eq!(issue_ps, PINNED_ISSUE_PS);
+    assert_eq!(
+        mem.controller().timer().stats(),
+        TimerStats { activates: 6, precharges: 6, reads: 12, writes: 12, aaps: 0, aps: 0 }
+    );
+    // One column write per row; the protocol read takes the row from the
+    // sense amplifiers without a column access on the functional model.
+    let sa = mem.controller().device().stats();
+    assert_eq!((sa.column_reads, sa.column_writes), (0, 3));
+    assert_eq!((after_write, after_read), PINNED_NOW_PS);
+
+    mem.poke_bits(b, &vec![true; bits]).unwrap();
+    let receipt = mem.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
+    assert_eq!((receipt.start_ps, receipt.end_ps), PINNED_RECEIPT_PS);
+    assert_eq!(mem.read_bits(out).unwrap(), data);
+}
+
+/// Per chunk: ACTIVATE, four column bursts 5 ns (tCCD) apart, PRECHARGE.
+const PINNED_ISSUE_PS: [u64; 36] = [
+    0, 10_000, 15_000, 20_000, 25_000, 50_000, // write, chunk 0 (bank 0)
+    41_250, 51_250, 56_250, 61_250, 66_250, 91_250, // write, chunk 1 (bank 1)
+    82_500, 92_500, 97_500, 102_500, 107_500, 132_500, // write, chunk 2 (bank 0)
+    142_500, 152_500, 157_500, 162_500, 167_500, 182_500, // read, chunk 0
+    183_750, 193_750, 198_750, 203_750, 208_750, 223_750, // read, chunk 1
+    225_000, 235_000, 240_000, 245_000, 250_000, 265_000, // read, chunk 2
+];
+const PINNED_NOW_PS: (u64, u64) = (123_750, 266_250);
+const PINNED_RECEIPT_PS: (u64, u64) = (275_000, 667_000);
